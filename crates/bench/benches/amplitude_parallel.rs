@@ -12,7 +12,7 @@
 //! serial by ≥ 2×; single-worker hosts skip via the shared
 //! [`qdb_bench::multicore_gate`].
 //!
-//! **Packed replay** (`amplitude_parallel/packed_{shor_n15,grover}`):
+//! **Packed replay** (`amplitude_parallel/packed_{shor_n15,shor_noisy,grover}`):
 //! the noisy trajectory tree with `pack_width` 8 vs 1 (packing
 //! disabled). Reports must be bit-identical — packing only regroups
 //! *which buffer* a suffix replay writes through, never the arithmetic
@@ -110,6 +110,17 @@ fn shor_case() -> (Program, EnsembleConfig) {
     (program, config)
 }
 
+/// The `noisy_ensemble_shor_n15` session (16 shots, depolarizing
+/// 2·10⁻³): the repo benchmark's `shor_noisy` workload, where the
+/// wave is the shot-parallel unit and packs ride in it.
+fn shor_noisy_case() -> (Program, EnsembleConfig) {
+    let (program, config) = shor_case();
+    let config = config
+        .with_shots(16)
+        .with_noise(NoiseModel::depolarizing(2e-3).with_readout_flip(1e-2));
+    (program, config)
+}
+
 /// Grover over GF(2³) (paper §5.1): smaller circuit, bigger ensemble,
 /// denser fork population per window.
 fn grover_case() -> (Program, EnsembleConfig) {
@@ -183,6 +194,7 @@ fn bench_amplitude_parallel(c: &mut Criterion) {
     let labels = [
         "amplitude_parallel/kernels_n18",
         "amplitude_parallel/packed_shor_n15",
+        "amplitude_parallel/packed_shor_noisy",
         "amplitude_parallel/packed_grover",
     ];
     let filter: Option<String> = std::env::args().skip(1).find(|arg| !arg.starts_with("--"));
@@ -272,8 +284,11 @@ fn bench_amplitude_parallel(c: &mut Criterion) {
     }
 
     // ── Case 2: packed suffix replay on the noisy flagship ensembles ──
-    let cases: [(&str, (Program, EnsembleConfig)); 2] =
-        [("shor_n15", shor_case()), ("grover", grover_case())];
+    let cases: [(&str, (Program, EnsembleConfig)); 3] = [
+        ("shor_n15", shor_case()),
+        ("shor_noisy", shor_noisy_case()),
+        ("grover", grover_case()),
+    ];
     for (name, (program, config)) in cases {
         let label = format!("amplitude_parallel/packed_{name}");
         if !runs(&label) {
@@ -288,6 +303,7 @@ fn bench_amplitude_parallel(c: &mut Criterion) {
             stats.packed_lanes as f64 / stats.packs_leased as f64
         );
         criterion::record_metric(&label, "pack_width", 8.0);
+        criterion::record_metric(&label, "workers", qdb_bench::effective_workers() as f64);
         criterion::record_metric(&label, "packs_leased", stats.packs_leased as f64);
         criterion::record_metric(&label, "packed_lanes", stats.packed_lanes as f64);
 

@@ -3,18 +3,27 @@
 //! The build environment is hermetic, so this crate supplies the
 //! parallel-iterator surface `qdb-core` uses: `into_par_iter()` /
 //! `par_iter()` over ranges and slices, `map`, `for_each`, and
-//! `collect` into `Vec<T>` or `Result<Vec<T>, E>`.
+//! `collect` into `Vec<T>` or `Result<Vec<T>, E>`, plus [`join`] and
+//! the chunked [`dispatch_chunks`].
 //!
-//! Work is divided into contiguous index blocks executed on
-//! `std::thread::scope` threads — no work stealing, which is fine for
-//! the embarrassingly parallel, uniform-cost loops this workspace has.
-//! `RAYON_NUM_THREADS` is honored (re-read on every call, so tests can
-//! toggle it at runtime). Results are always assembled in input order,
-//! so any `collect` is deterministic regardless of thread count.
+//! Every entry point runs through one work-claiming loop: the caller
+//! and up to [`current_num_threads`] `- 1` helper threads (spawned on a
+//! `std::thread::scope` per call; there is no persistent pool) each
+//! take the next unclaimed index from a shared atomic counter until
+//! none are left. Uneven item costs therefore balance themselves —
+//! whoever finishes early claims more — instead of one worker owning
+//! a fixed half. `RAYON_NUM_THREADS` is honored (re-read on every
+//! call, so tests can toggle it at runtime). Each result lands in the
+//! slot of its index, so any `collect` is in input order and
+//! deterministic regardless of thread count or claim order.
 
 #![warn(missing_docs)]
 
+use std::any::Any;
 use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Number of worker threads: `RAYON_NUM_THREADS` if set and positive,
 /// else the number of available CPUs.
@@ -48,38 +57,116 @@ pub trait IndexedTask: Sync {
     fn item(&self, i: usize) -> Self::Output;
 }
 
-/// Evaluate every item of `task`, in parallel, preserving input order.
-fn drive<T: IndexedTask>(task: &T) -> Vec<T::Output> {
-    let n = task.len();
-    let threads = current_num_threads().min(n);
-    if threads <= 1 {
-        return (0..n).map(|i| task.item(i)).collect();
+/// How many claims each worker's share of a loop is cut into: a claim
+/// takes `max(1, n / (CLAIMS_PER_WORKER · workers))` consecutive
+/// indices. Loops of up to 64 items per worker (every trajectory wave,
+/// per-shot presampling of small ensembles, every chunk dispatch) claim
+/// one index at a time; thousands of cheap items (per-shot CDF
+/// inversion) claim in grains, so the shared counter is not contended
+/// once per nanosecond-scale item.
+const CLAIMS_PER_WORKER: usize = 64;
+
+/// Run `work(i)` exactly once for every `i` in `0..n` and return the
+/// results in index order — the one scheduling loop behind every entry
+/// point of this crate.
+///
+/// The caller plus `min(workers, n) - 1` scoped helpers each claim the
+/// next unclaimed indices (one grain, see [`CLAIMS_PER_WORKER`]) from
+/// one atomic counter until the counter passes `n`; a result is kept
+/// with its index and placed in slot `i`, so claim order never shows in
+/// the output. With one worker everything runs on the caller, in index
+/// order.
+///
+/// The caller always claims from its own job, so the job finishes even
+/// if no helper ever gets to run: a nested call made from inside an
+/// item cannot wait on a busy worker, and nesting cannot deadlock.
+///
+/// A panicking item stops further claims; items already claimed run to
+/// completion, every helper is joined, and only then does the first
+/// panic's payload resume on the caller.
+fn claim<R: Send>(n: usize, workers: usize, work: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    let workers = workers.min(n);
+    if workers <= 1 {
+        return (0..n).map(work).collect();
     }
-    let mut out: Vec<Option<T::Output>> = Vec::with_capacity(n);
-    out.resize_with(n, || None);
-    let chunk = n.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (t, slots) in out.chunks_mut(chunk).enumerate() {
-            scope.spawn(move || {
-                let base = t * chunk;
-                for (j, slot) in slots.iter_mut().enumerate() {
-                    *slot = Some(task.item(base + j));
+    let grain = (n / (CLAIMS_PER_WORKER * workers)).max(1);
+    // `Relaxed` suffices: the counter publishes no data. Results reach
+    // the caller through the scoped joins, which synchronize.
+    let next = AtomicUsize::new(0);
+    let panicked: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
+    let claim_until_done = || {
+        let mut done = Vec::new();
+        loop {
+            let start = next.fetch_add(grain, Ordering::Relaxed);
+            if start >= n {
+                return done;
+            }
+            for i in start..(start + grain).min(n) {
+                match catch_unwind(AssertUnwindSafe(|| work(i))) {
+                    Ok(result) => done.push((i, result)),
+                    Err(payload) => {
+                        next.fetch_max(n, Ordering::Relaxed);
+                        panicked
+                            .lock()
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .get_or_insert(payload);
+                        return done;
+                    }
                 }
-            });
+            }
+        }
+    };
+    let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(n).collect();
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers)
+            .map(|_| scope.spawn(claim_until_done))
+            .collect();
+        let mut place = |done: Vec<(usize, R)>| {
+            for (i, result) in done {
+                slots[i] = Some(result);
+            }
+        };
+        place(claim_until_done());
+        for helper in helpers {
+            place(
+                helper
+                    .join()
+                    .expect("item panics are caught inside the claim loop"),
+            );
         }
     });
-    out.into_iter()
-        .map(|slot| slot.expect("all slots filled by scope"))
+    if let Some(payload) = panicked
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+    {
+        resume_unwind(payload);
+    }
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every index claimed exactly once"))
         .collect()
 }
 
+/// Evaluate every item of `task`, in parallel, preserving input order.
+fn drive<T: IndexedTask>(task: &T) -> Vec<T::Output> {
+    claim(task.len(), current_num_threads(), |i| task.item(i))
+}
+
+/// One side of a [`join`], tagged so both fit one result slot type.
+enum Side<RA, RB> {
+    A(RA),
+    B(RB),
+}
+
 /// Run two closures, potentially on two threads, and return both
-/// results — rayon's `join`, minus work stealing.
+/// results — rayon's `join`, as a two-item claim loop.
 ///
 /// With one worker (or `RAYON_NUM_THREADS=1`) both closures run on the
-/// calling thread, `a` first; otherwise `b` runs on a scoped thread
-/// while the caller runs `a`. Results are returned in argument order
-/// either way, and a panic in either closure propagates to the caller.
+/// calling thread, `a` first. Otherwise the caller claims `a` and a
+/// helper claims `b`; if the helper has not started by the time `a`
+/// is done, the caller runs `b` as well. Results are returned in
+/// argument order either way. A panic in either closure reaches the
+/// caller once the other side has finished, or was never started.
 pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
 where
     A: FnOnce() -> RA + Send,
@@ -87,19 +174,28 @@ where
     RA: Send,
     RB: Send,
 {
-    if current_num_threads() <= 1 {
-        let ra = a();
-        let rb = b();
-        return (ra, rb);
-    }
-    std::thread::scope(|scope| {
-        let handle = scope.spawn(b);
-        let ra = a();
-        let rb = handle
-            .join()
-            .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-        (ra, rb)
+    let a = Mutex::new(Some(a));
+    let b = Mutex::new(Some(b));
+    let mut sides = claim(2, current_num_threads(), |i| {
+        if i == 0 {
+            Side::A(take_once(&a)())
+        } else {
+            Side::B(take_once(&b)())
+        }
     })
+    .into_iter();
+    match (sides.next(), sides.next()) {
+        (Some(Side::A(ra)), Some(Side::B(rb))) => (ra, rb),
+        _ => unreachable!("claim returns one result per index, in index order"),
+    }
+}
+
+/// Take the closure out of a [`join`] side; each side is claimed once.
+fn take_once<F>(side: &Mutex<Option<F>>) -> F {
+    side.lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .take()
+        .expect("each join side is claimed once")
 }
 
 /// Partition `0..len` into at most [`current_num_threads`] contiguous
@@ -108,30 +204,22 @@ where
 ///
 /// This is the disjoint-slice dispatch surface the amplitude-parallel
 /// kernels chunk their run space over: every index appears in exactly
-/// one chunk, chunks are maximal contiguous ranges in ascending order,
-/// and the chunk *boundaries* are the only thing that varies with the
-/// worker count — callers whose per-index work is self-contained are
-/// therefore bit-identical across thread counts by construction. An
-/// empty `len` dispatches nothing and returns 0; a panicking chunk
-/// propagates to the caller after the scope joins.
+/// one chunk, chunks are maximal contiguous ranges of `len.div_ceil(w)`
+/// indices in ascending order (`w` the worker count), and the chunk
+/// *boundaries* are the only thing that varies with the worker count.
+/// Which thread runs a chunk is decided by the claim loop and never
+/// changes a boundary — callers whose per-index work is self-contained
+/// are therefore bit-identical across thread counts by construction.
+/// An empty `len` dispatches nothing and returns 0; a panicking chunk
+/// propagates to the caller after every claimed chunk has finished.
 pub fn dispatch_chunks<F: Fn(Range<usize>) + Sync>(len: usize, body: F) -> usize {
-    let threads = current_num_threads().min(len);
-    if threads <= 1 {
-        if len > 0 {
-            body(0..len);
-        }
-        return usize::from(len > 0);
+    if len == 0 {
+        return 0;
     }
-    let chunk = len.div_ceil(threads);
+    let chunk = len.div_ceil(current_num_threads().min(len));
     let chunks = len.div_ceil(chunk);
-    std::thread::scope(|scope| {
-        for c in 0..chunks {
-            let body = &body;
-            scope.spawn(move || {
-                let start = c * chunk;
-                body(start..(start + chunk).min(len));
-            });
-        }
+    claim(chunks, chunks, |c| {
+        body(c * chunk..((c + 1) * chunk).min(len))
     });
     chunks
 }
@@ -302,6 +390,27 @@ pub mod prelude {
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
+    use std::time::Duration;
+
+    /// Serializes every test that sets `RAYON_NUM_THREADS`: the variable
+    /// is process-wide, so a test asserting on the worker count must not
+    /// see another test's value mid-run.
+    static ENV_LOCK: Mutex<()> = Mutex::new(());
+
+    /// Worker counts the claim-loop tests sweep.
+    const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 7];
+
+    /// Run `f` with `RAYON_NUM_THREADS` pinned to `threads`, holding
+    /// [`ENV_LOCK`] for the duration.
+    fn with_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
+        let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        std::env::set_var("RAYON_NUM_THREADS", threads.to_string());
+        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+        std::env::remove_var("RAYON_NUM_THREADS");
+        out.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+    }
 
     #[test]
     fn range_map_collect_preserves_order() {
@@ -350,28 +459,45 @@ mod tests {
         assert_eq!(evens + odds, xs.iter().sum::<u32>());
         assert_eq!(evens, (0..64).step_by(2).sum::<u32>());
         // Serial path (threads == 1) must agree with the threaded path.
-        std::env::set_var("RAYON_NUM_THREADS", "1");
-        let serial = super::join(|| 2 + 2, || "b");
-        std::env::remove_var("RAYON_NUM_THREADS");
+        let serial = with_threads(1, || super::join(|| 2 + 2, || "b"));
         assert_eq!(serial, (4, "b"));
     }
 
     #[test]
     fn dispatch_chunks_covers_every_index_exactly_once() {
-        use std::sync::Mutex;
-        for threads in ["1", "2", "4", "7"] {
-            std::env::set_var("RAYON_NUM_THREADS", threads);
+        for threads in WORKER_COUNTS {
             let hits = Mutex::new(vec![0u32; 1000]);
-            let chunks = super::dispatch_chunks(1000, |range| {
-                let mut hits = hits.lock().unwrap();
-                for i in range {
-                    hits[i] += 1;
-                }
+            let chunks = with_threads(threads, || {
+                super::dispatch_chunks(1000, |range| {
+                    let mut hits = hits.lock().unwrap();
+                    for i in range {
+                        hits[i] += 1;
+                    }
+                })
             });
-            std::env::remove_var("RAYON_NUM_THREADS");
             let hits = hits.into_inner().unwrap();
             assert!(hits.iter().all(|&h| h == 1), "threads={threads}");
-            assert!(chunks >= 1 && chunks <= threads.parse::<usize>().unwrap());
+            assert!(chunks >= 1 && chunks <= threads, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn dispatch_chunks_keeps_fixed_boundaries() {
+        // Boundaries depend on the worker count alone, never on which
+        // thread claims which chunk.
+        for threads in WORKER_COUNTS {
+            let chunk = 1000usize.div_ceil(threads);
+            let seen = Mutex::new(Vec::new());
+            with_threads(threads, || {
+                super::dispatch_chunks(1000, |range| seen.lock().unwrap().push(range))
+            });
+            let mut seen = seen.into_inner().unwrap();
+            seen.sort_by_key(|range| range.start);
+            let expected: Vec<_> = (0..1000)
+                .step_by(chunk)
+                .map(|start| start..(start + chunk).min(1000))
+                .collect();
+            assert_eq!(seen, expected, "threads={threads}");
         }
     }
 
@@ -386,11 +512,129 @@ mod tests {
     #[test]
     fn thread_count_env_var_is_honored() {
         // Serial fallback path (threads == 1) must agree with parallel.
-        std::env::set_var("RAYON_NUM_THREADS", "1");
-        let serial: Vec<usize> = (0..100).into_par_iter().map(|i| i + 1).collect();
-        std::env::remove_var("RAYON_NUM_THREADS");
-        let parallel: Vec<usize> = (0..100).into_par_iter().map(|i| i + 1).collect();
+        let serial: Vec<usize> = with_threads(1, || {
+            assert_eq!(super::current_num_threads(), 1);
+            (0..100).into_par_iter().map(|i| i + 1).collect()
+        });
+        let parallel: Vec<usize> = with_threads(3, || {
+            assert_eq!(super::current_num_threads(), 3);
+            (0..100).into_par_iter().map(|i| i + 1).collect()
+        });
         assert_eq!(serial, parallel);
         assert!(super::current_num_threads() >= 1);
+    }
+
+    #[test]
+    fn skewed_items_run_once_each_and_return_in_order() {
+        // The first items cost 50x the rest: the shape of a trajectory
+        // wave sorted by fork position.
+        for threads in WORKER_COUNTS {
+            let runs: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
+            let out: Vec<usize> = with_threads(threads, || {
+                (0..64)
+                    .into_par_iter()
+                    .map(|i| {
+                        runs[i].fetch_add(1, Ordering::Relaxed);
+                        let micros = if i < 4 { 2_500 } else { 50 };
+                        std::thread::sleep(Duration::from_micros(micros));
+                        i * 3
+                    })
+                    .collect()
+            });
+            assert_eq!(out, (0..64).map(|i| i * 3).collect::<Vec<_>>());
+            assert!(
+                runs.iter().all(|r| r.load(Ordering::Relaxed) == 1),
+                "threads={threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn nested_calls_complete() {
+        for threads in WORKER_COUNTS {
+            let sums: Vec<usize> = with_threads(threads, || {
+                (0..6)
+                    .into_par_iter()
+                    .map(|i| {
+                        let inner: Vec<usize> = (0..10).into_par_iter().map(|j| i * j).collect();
+                        inner.into_iter().sum()
+                    })
+                    .collect()
+            });
+            assert_eq!(sums, (0..6).map(|i| i * 45).collect::<Vec<_>>());
+
+            let joined = Mutex::new(Vec::new());
+            with_threads(threads, || {
+                super::dispatch_chunks(12, |range| {
+                    let (lo, hi) = super::join(|| range.start, || range.end);
+                    joined.lock().unwrap().push(lo..hi);
+                })
+            });
+            let mut joined = joined.into_inner().unwrap();
+            joined.sort_by_key(|range| range.start);
+            assert_eq!(
+                joined.first().map(|r| r.start),
+                Some(0),
+                "threads={threads}"
+            );
+            assert_eq!(joined.last().map(|r| r.end), Some(12), "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn panic_reaches_caller_after_claimed_items_finish() {
+        for threads in WORKER_COUNTS {
+            let started = AtomicUsize::new(0);
+            let finished = AtomicUsize::new(0);
+            let caught = with_threads(threads, || {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    (0..32)
+                        .into_par_iter()
+                        .map(|i| {
+                            if i == 2 {
+                                panic!("item 2 failed");
+                            }
+                            started.fetch_add(1, Ordering::SeqCst);
+                            std::thread::sleep(Duration::from_millis(2));
+                            finished.fetch_add(1, Ordering::SeqCst);
+                            i
+                        })
+                        .collect::<Vec<_>>()
+                }))
+            });
+            let payload = caught.expect_err("the panic must reach the caller");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"item 2 failed"));
+            assert_eq!(
+                started.load(Ordering::SeqCst),
+                finished.load(Ordering::SeqCst),
+                "threads={threads}: an item was still running when the panic surfaced"
+            );
+            let again: Vec<usize> = with_threads(threads, || (0..32).into_par_iter().collect());
+            assert_eq!(again, (0..32).collect::<Vec<_>>(), "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn concurrent_callers_get_their_own_ordered_results() {
+        for threads in WORKER_COUNTS {
+            with_threads(threads, || {
+                std::thread::scope(|scope| {
+                    let callers: Vec<_> = (0..8usize)
+                        .map(|t| {
+                            scope.spawn(move || {
+                                let out: Vec<usize> =
+                                    (0..200).into_par_iter().map(|i| i * 8 + t).collect();
+                                (t, out)
+                            })
+                        })
+                        .collect();
+                    for caller in callers {
+                        let (t, out) = caller.join().unwrap();
+                        let expected: Vec<usize> = (0..200).map(|i| i * 8 + t).collect();
+                        assert_eq!(out, expected, "threads={threads} caller={t}");
+                    }
+                });
+            });
+        }
     }
 }
