@@ -14,10 +14,21 @@
 //! wall-clock claim is asserted, not just reported** (single-core; no
 //! parallelism is involved in either path). The opt-in fused plan is
 //! also timed, cross-checked at approximate equality.
+//!
+//! A second case, `shor_n15_classes`, splits one pass over the 13-qubit
+//! Shor N = 15 plan (paper §4.6) by kernel class — diagonal,
+//! anti-diagonal, general with a real matrix, general with a complex
+//! matrix, swap — and reports µs per op and ms per pass for each, so
+//! the next kernel change can be sized from data. It first checks that
+//! the compiled pass matches the interpreted one (value-identical
+//! state, bit-identical probabilities). Timings are recorded, never
+//! asserted; smoke mode records only the op census.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use qdb_algos::shor::{shor_program, ShorConfig};
+use qdb_algos::ControlRouting;
 use qdb_circuit::{Circuit, GateSink, OptLevel};
-use qdb_sim::State;
+use qdb_sim::{KernelOp, SimBackend, SimOp, State};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
@@ -195,5 +206,131 @@ fn bench_gate_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_gate_kernels);
+/// The kernel classes `shor_n15_classes` reports, in table order.
+const CLASSES: [&str; 5] = [
+    "diagonal",
+    "antidiagonal",
+    "general_real",
+    "general_complex",
+    "swap",
+];
+
+/// Index into [`CLASSES`]: the kernel an op runs, with the dense 2×2
+/// split by whether every matrix entry is real.
+fn class_of(op: &SimOp) -> usize {
+    match op.kernel() {
+        KernelOp::Diagonal { .. } => 0,
+        KernelOp::AntiDiagonal { .. } => 1,
+        KernelOp::General(m) if m.0.iter().flatten().all(|e| e.im == 0.0) => 2,
+        KernelOp::General(_) => 3,
+        KernelOp::Swap { .. } => 4,
+    }
+}
+
+fn bench_shor_classes(c: &mut Criterion) {
+    const LABEL: &str = "gate_kernels/shor_n15_classes";
+    let filter: Option<String> = std::env::args().skip(1).find(|arg| !arg.starts_with("--"));
+    if filter.as_deref().is_some_and(|f| !LABEL.contains(f)) {
+        return;
+    }
+    let measured = std::env::args().skip(1).any(|arg| arg == "--bench");
+
+    let (program, _) = shor_program(
+        &ShorConfig::paper_n15(),
+        ControlRouting::Correct,
+        &Vec::new(),
+    );
+    let plan = program.compile(OptLevel::Specialize);
+    let n = plan.num_qubits();
+    let mut by_class: [Vec<SimOp>; 5] = Default::default();
+    for op in plan.ops() {
+        by_class[class_of(op.sim_op())].push(op.sim_op().clone());
+    }
+
+    // The timings only mean something if the compiled kernels compute
+    // what the interpreted reference does on this plan.
+    let mut reference = State::zero(n);
+    program.circuit().apply_to(&mut reference);
+    let mut compiled = State::zero(n);
+    plan.apply_to(&mut compiled);
+    assert_eq!(compiled, reference, "shor_n15 compiled path diverged");
+    for (p, q) in compiled
+        .probabilities()
+        .iter()
+        .zip(&reference.probabilities())
+    {
+        assert_eq!(
+            p.to_bits(),
+            q.to_bits(),
+            "shor_n15 probability bits diverged"
+        );
+    }
+
+    let workers = qdb_bench::effective_workers();
+    println!(
+        "gate_kernels shor_n15_classes: {} ops on {n} qubits ({workers} workers)",
+        plan.ops().len()
+    );
+    criterion::record_metric(LABEL, "workers", workers as f64);
+    criterion::record_metric(LABEL, "ops", plan.ops().len() as f64);
+    for (name, ops) in CLASSES.iter().zip(&by_class) {
+        criterion::record_metric(LABEL, &format!("ops_{name}"), ops.len() as f64);
+    }
+
+    if measured {
+        // Time each class's ops back to back on the plan's own output
+        // state: every kernel is unitary, so repeated passes keep the
+        // amplitudes in range and the cost per op is what a pass pays.
+        let mut state = compiled.clone();
+        let pass_s = time_median(15, 4, || plan.apply_to(&mut state));
+        println!(
+            "  {:<16} {:>5} {:>8} {:>8} {:>6}",
+            "class", "ops", "µs/op", "ms/pass", "share"
+        );
+        let mut classes_s = 0.0;
+        for (name, ops) in CLASSES.iter().zip(&by_class) {
+            if ops.is_empty() {
+                println!("  {name:<16} {:>5}", 0);
+                continue;
+            }
+            let class_s = time_median(15, 4, || {
+                for op in ops {
+                    state.apply_op(op);
+                }
+            });
+            classes_s += class_s;
+            let us_per_op = class_s * 1e6 / ops.len() as f64;
+            println!(
+                "  {name:<16} {:>5} {us_per_op:>8.2} {:>8.3} {:>5.0}%",
+                ops.len(),
+                class_s * 1e3,
+                100.0 * class_s / pass_s
+            );
+            criterion::record_metric(LABEL, &format!("us_per_op_{name}"), us_per_op);
+        }
+        println!(
+            "  {:<16} {:>5} {:>8} {:>8.3} (classes sum to {:.3})",
+            "pass",
+            plan.ops().len(),
+            "",
+            pass_s * 1e3,
+            classes_s * 1e3
+        );
+        criterion::record_metric(LABEL, "pass_ms", pass_s * 1e3);
+    }
+
+    let mut group = c.benchmark_group("gate_kernels");
+    group.sample_size(10);
+    group.throughput(criterion::Throughput::Elements(plan.ops().len() as u64));
+    group.bench_function("shor_n15_classes", |bencher| {
+        bencher.iter(|| {
+            let mut s = State::zero(n);
+            plan.apply_to(&mut s);
+            s
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_gate_kernels, bench_shor_classes);
 criterion_main!(benches);

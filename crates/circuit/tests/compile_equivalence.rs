@@ -190,3 +190,71 @@ proptest! {
         );
     }
 }
+
+/// The dense kernel's real-coefficient path: `h` and `ry` (whose
+/// negated entries carry `im = -0.0`, and which have negative entries)
+/// with 0–2 controls, compiled vs interpreted, from starting states
+/// with exact signed zeros — every basis state and `h` layers on
+/// `|0…0⟩`, each also with `y` and `s` applied so that both the real
+/// and the imaginary lane carry values. Amplitudes must be `==` and
+/// probabilities bit-identical after every gate.
+#[test]
+fn real_dense_gates_are_value_identical_to_reference() {
+    let n = 5;
+    let mut body = Circuit::new(n);
+    body.h(1);
+    body.ry(2, 0.9);
+    body.ry(0, -2.4);
+    body.h(0);
+    body.ry(1, std::f64::consts::PI);
+    body.h(2);
+    let mut starts: Vec<State> = (0..1u64 << n)
+        .map(|i| State::basis(n, i).unwrap())
+        .collect();
+    for layer in [&[0usize][..], &[0, 2], &[1, 3, 4], &[0, 1, 2, 3, 4]] {
+        let mut s = State::zero(n);
+        for &q in layer {
+            s.apply_1q(q, &qdb_sim::gates::h());
+        }
+        starts.push(s);
+    }
+    for i in 0..starts.len() {
+        let mut s = starts[i].clone();
+        s.apply_1q(4, &qdb_sim::gates::y());
+        s.apply_1q(1, &qdb_sim::gates::s());
+        starts.push(s);
+    }
+    for controls in [&[][..], &[3], &[4, 3]] {
+        let c = body.controlled(controls);
+        let plan = c.compile(OptLevel::Specialize);
+        for op in plan.ops() {
+            let qdb_sim::KernelOp::General(m) = op.sim_op().kernel() else {
+                panic!("h / ry must lower to the dense kernel");
+            };
+            assert!(m.0.iter().flatten().all(|e| e.im == 0.0), "{m:?} not real");
+        }
+        for (si, start) in starts.iter().enumerate() {
+            let mut compiled = start.clone();
+            let mut reference = start.clone();
+            for pos in 0..c.len() {
+                plan.apply_range_to(&mut compiled, pos..pos + 1);
+                c.apply_range_to(&mut reference, pos..pos + 1);
+                assert_eq!(
+                    compiled, reference,
+                    "controls {controls:?}, start {si}, gate {pos}"
+                );
+                for (p, q) in compiled
+                    .probabilities()
+                    .iter()
+                    .zip(&reference.probabilities())
+                {
+                    assert_eq!(
+                        p.to_bits(),
+                        q.to_bits(),
+                        "controls {controls:?}, start {si}"
+                    );
+                }
+            }
+        }
+    }
+}

@@ -173,6 +173,16 @@ pub enum ParallelAxis {
     Hybrid,
 }
 
+/// `Err(BadConfig)` unless the rate `p` lies in `[0, 1]` (NaN never
+/// does).
+fn check_rate(what: &str, p: f64) -> Result<(), CoreError> {
+    if (0.0..=1.0).contains(&p) {
+        Ok(())
+    } else {
+        Err(CoreError::BadConfig(format!("{what} {p} outside [0, 1]")))
+    }
+}
+
 /// Configuration for ensemble runs.
 ///
 /// Construct via [`EnsembleConfig::builder`] (or `default()` plus the
@@ -559,6 +569,17 @@ impl EnsembleConfig {
             return Err(CoreError::BadConfig(
                 "pack_width must be at least 1 (1 disables packing)".into(),
             ));
+        }
+        if let Some(noise) = &self.noise {
+            // A NaN rate would compare false against every uniform draw
+            // and fire a fault at every decision; reject it with the
+            // out-of-range ones. A Kraus set is checked at construction
+            // and reports a rate of 1.
+            if let Some(channel) = &noise.gate_noise {
+                check_rate("gate-noise rate", channel.probability())?;
+            }
+            check_rate("readout rate p01", noise.readout.p01)?;
+            check_rate("readout rate p10", noise.readout.p10)?;
         }
         Ok(())
     }
@@ -1880,6 +1901,54 @@ mod tests {
         let bad_alpha2 = EnsembleConfig::default().with_alpha(1.5);
         assert!(bad_alpha2.validate().is_err());
         assert!(EnsembleConfig::default().validate().is_ok());
+    }
+
+    /// `validate` must reject `noise` with a typed `BadConfig`, and so
+    /// must a session run under it.
+    fn assert_bad_noise(noise: NoiseModel) {
+        let config = EnsembleConfig::default().with_noise(noise);
+        assert!(
+            matches!(config.validate(), Err(CoreError::BadConfig(_))),
+            "{noise:?} passed validation"
+        );
+        let (mut p, m0, m1) = bell_program();
+        p.assert_entangled(&m0, &m1);
+        let result = EnsembleRunner::new(config).check_program(&p);
+        assert!(
+            matches!(result, Err(CoreError::BadConfig(_))),
+            "{noise:?} ran to {result:?}"
+        );
+    }
+
+    #[test]
+    fn nan_depolarizing_rate_is_rejected() {
+        assert_bad_noise(NoiseModel::depolarizing(f64::NAN));
+    }
+
+    #[test]
+    fn depolarizing_rate_above_one_is_rejected() {
+        assert_bad_noise(NoiseModel::depolarizing(1.5));
+    }
+
+    #[test]
+    fn negative_depolarizing_rate_is_rejected() {
+        assert_bad_noise(NoiseModel::depolarizing(-0.2));
+    }
+
+    #[test]
+    fn nan_readout_rate_is_rejected() {
+        assert_bad_noise(NoiseModel::readout_only(f64::NAN));
+    }
+
+    #[test]
+    fn boundary_noise_rates_are_accepted() {
+        for noise in [
+            NoiseModel::depolarizing(1.0),
+            NoiseModel::depolarizing(0.0).with_readout_confusion(0.0, 1.0),
+        ] {
+            let config = EnsembleConfig::default().with_noise(noise);
+            assert!(config.validate().is_ok(), "{noise:?}");
+        }
     }
 
     #[test]

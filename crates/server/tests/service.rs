@@ -458,3 +458,30 @@ fn unknown_session_is_a_typed_error() {
     ));
     server.shutdown();
 }
+
+#[test]
+fn invalid_noise_rates_settle_in_a_typed_config_error() {
+    let server = Server::start(ServerConfig::default().with_workers(1));
+    for noise in [
+        NoiseModel::depolarizing(f64::NAN),
+        NoiseModel::depolarizing(1.5),
+        NoiseModel::depolarizing(-0.2),
+        NoiseModel::readout_only(f64::NAN),
+    ] {
+        let id = server
+            .submit(staircase(), fast_config().with_noise(noise))
+            .expect("admitted");
+        let outcome = server.wait(id).expect("settled");
+        assert_eq!(outcome.state, SessionState::Failed, "{noise:?}");
+        assert_eq!(outcome.attempts, 1, "a config error is not retried");
+        assert!(
+            matches!(
+                outcome.error,
+                Some(ServerError::Session(qdb_core::CoreError::BadConfig(_)))
+            ),
+            "{noise:?} settled with {:?}",
+            outcome.error
+        );
+    }
+    server.shutdown();
+}

@@ -503,16 +503,8 @@ impl SimBackend for State {
     }
 
     fn apply_op(&mut self, op: &SimOp) {
-        match &op.kernel {
-            KernelOp::Diagonal { d0, d1 } => {
-                self.apply_diagonal(&op.controls, op.target, *d0, *d1);
-            }
-            KernelOp::AntiDiagonal { a01, a10 } => {
-                self.apply_antidiagonal(&op.controls, op.target, *a01, *a10);
-            }
-            KernelOp::General(m) => self.apply_1q_subspace(&op.controls, op.target, m),
-            KernelOp::Swap { other } => self.apply_swap_subspace(&op.controls, op.target, *other),
-        }
+        let (sub, pair_op) = crate::kernels::lower(self.num_qubits(), op);
+        self.apply_pairs(&sub, pair_op);
     }
 
     fn apply_pauli(&mut self, q: usize, p: Pauli) {

@@ -14,7 +14,8 @@
 //! * [`State::apply_antidiagonal`] — anti-diagonal gates (`x`, `y`):
 //!   a pure amplitude permutation with per-branch phases;
 //! * [`State::apply_1q_subspace`] — the dense 2×2 kernel, but touching
-//!   only the control-satisfying subspace;
+//!   only the control-satisfying subspace, with a real-coefficient
+//!   path for matrices whose entries are all real (`h`, `ry`);
 //! * [`State::apply_swap_subspace`] — (controlled) swap enumerating
 //!   exactly the index pairs it exchanges.
 //!
@@ -34,21 +35,32 @@
 //! per-index carry chain they replace was latency-bound at a few
 //! cycles per amplitude pair.
 //!
+//! The per-pair arithmetic of every kernel class is defined once, in
+//! the crate's `PairOp`, and chosen once per op. The packed replay of
+//! [`StatePack`](crate::pack::StatePack) runs the same enumeration and
+//! the same `PairOp` with each amplitude index widened to its block of
+//! lanes, so a packed lane is bit-identical to a solo replay by
+//! construction.
+//!
 //! ## Equivalence contract
 //!
 //! Each kernel touches the same amplitude pairs as its generic
-//! counterpart, in the same ascending order. The subspace kernels
-//! ([`State::apply_1q_subspace`], [`State::apply_swap_subspace`])
-//! perform the *identical* arithmetic on each pair, so their results are
-//! bit-for-bit identical to the generic path. The diagonal and
-//! anti-diagonal kernels skip the structurally-zero products the dense
-//! kernel still computes (`m₀₁·b` when `m₀₁ = 0`); adding such a term
-//! only ever normalizes the sign of an exactly-zero component
-//! (`-0.0 + 0.0 = +0.0`), so their results are **value-identical**
-//! (`==` on every component, hence [`State`] equality holds and every
-//! probability is bit-identical) but a zero amplitude component may
-//! carry the opposite sign. No downstream computation — probabilities,
-//! sampling, inner products, reports — can observe the difference.
+//! counterpart, in the same ascending order. The swap kernel and the
+//! dense kernel on a matrix with any nonzero imaginary part perform
+//! the *identical* arithmetic on each pair, so their results are
+//! bit-for-bit identical to the generic path. The other kernels skip
+//! products whose factor is a structural zero: the diagonal and
+//! anti-diagonal kernels skip `m₀₁·b` when `m₀₁ = 0`, and the dense
+//! kernel on a real matrix (every `im == 0.0`, `-0.0` included) skips
+//! every `mᵢⱼ.im · a` term. Each skipped term is `(±0)·finite = ±0`,
+//! and adding or subtracting it only ever normalizes the sign of an
+//! exactly-zero component (`-0.0 + 0.0 = +0.0`). So their results are
+//! **value-identical**: `==` holds on every component, hence [`State`]
+//! equality holds and every probability is bit-identical, but a zero
+//! amplitude component may carry the opposite sign. Further gates keep
+//! that property, so no downstream computation — probabilities,
+//! sampling, inner products, reports — can observe the difference;
+//! only `to_bits` on an exactly-zero component can.
 //!
 //! ## Amplitude-parallel chunking
 //!
@@ -61,10 +73,10 @@
 //! same arithmetic as the serial loop — a chunk seeks to its first run
 //! with `Subspace::base_at` and then steps with the identical carry
 //! trick), so the amplitudes produced are **bit-for-bit identical at
-//! any thread count**; only wall-clock changes. Serial invocations and
-//! below-threshold states run the exact safe-slice loops documented
-//! above.
+//! any thread count**; only wall-clock changes. A serial call is the
+//! same loop over one chunk holding every run.
 
+use crate::backend::{KernelOp, SimOp};
 use crate::complex::Complex;
 use crate::gates::Matrix2;
 use crate::state::State;
@@ -108,48 +120,271 @@ pub fn classify(m: &Matrix2) -> MatrixClass {
     }
 }
 
-/// The run-based subspace-enumeration scaffolding for a kernel with
-/// fixed bit positions `fixed` (controls + targets) over `dim` basis
-/// indices.
+/// One op's per-pair arithmetic, chosen once per op from its matrix.
 ///
-/// The indices to touch are exactly those with every fixed bit zero
-/// (the control bits are OR-ed back in by the caller), in ascending
-/// order. All positions below the lowest fixed bit are free, so the
-/// set decomposes into `runs` contiguous runs of `run_len = 2^lowest`
-/// indices each. Successive run bases are enumerated with the carry
-/// trick — `base = ((base | step) + 1) & !step` with the fixed bits
-/// *and* the in-run low bits pre-filled with ones, so the `+ 1`
-/// carries straight over both — three ALU ops per run, while the run
-/// interiors are plain contiguous slices the inner loops can zip over
-/// without bounds checks.
-pub(crate) struct Subspace {
-    /// Carry-trick step mask: fixed bits plus the in-run low bits.
-    pub(crate) step: usize,
-    /// The control bits, OR-ed into every enumerated index.
-    pub(crate) cmask: usize,
-    /// Length of each contiguous run (`2^lowest_fixed_bit`).
-    pub(crate) run_len: usize,
-    /// Number of runs covering the subspace.
-    pub(crate) runs: usize,
+/// This is the single definition of what every specialized kernel does
+/// to an amplitude pair: [`State`]'s kernels and
+/// [`StatePack`](crate::pack::StatePack)'s packed replay both run it
+/// through [`PairOp::apply`], so a packed lane and a solo replay
+/// perform the same arithmetic by construction.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum PairOp {
+    /// `diag(1, d1)` (`s`, `t`, `phase`, every `cphase` / `ccphase` of
+    /// the QFT ladders): the `|…0⟩` branch is untouched, so only the
+    /// set branch is multiplied.
+    Phase(Complex),
+    /// `diag(d0, d1)`: one scalar multiply per amplitude.
+    Diagonal(Complex, Complex),
+    /// X-type gates (`x`, CNOT, Toffoli) and swaps: a pure amplitude
+    /// permutation, no arithmetic at all.
+    Exchange,
+    /// `[[0, a01], [a10, 0]]`: a cross-swap with per-branch phases.
+    AntiDiagonal(Complex, Complex),
+    /// A dense 2×2 whose four entries all have `im == 0.0` (`h`, `ry`):
+    /// 8 multiplies and 4 adds per pair, the same on both components.
+    Real([[f64; 2]; 2]),
+    /// Any other dense 2×2 (`u3`, `rx`, fused runs): the full complex
+    /// product.
+    Dense([[Complex; 2]; 2]),
 }
 
-impl Subspace {
-    /// Build the enumeration for `count` touched representatives over
-    /// fixed mask `fixed` (`count` is `2ⁿ⁻¹⁻ᶜ` for single-target
-    /// kernels, `2ⁿ⁻²⁻ᶜ` for swaps).
-    pub(crate) fn new(fixed: usize, cmask: usize, count: usize) -> Self {
-        let low = fixed.trailing_zeros() as usize;
-        let run_len = 1usize << low;
-        Self {
-            step: fixed | (run_len - 1),
-            cmask,
-            run_len,
-            runs: count >> low,
+impl PairOp {
+    /// The arithmetic of `diag(d0, d1)`.
+    pub(crate) fn diagonal(d0: Complex, d1: Complex) -> Self {
+        if d0 == Complex::ONE {
+            Self::Phase(d1)
+        } else {
+            Self::Diagonal(d0, d1)
         }
     }
 
+    /// The arithmetic of `[[0, a01], [a10, 0]]`.
+    pub(crate) fn antidiagonal(a01: Complex, a10: Complex) -> Self {
+        if a01 == Complex::ONE && a10 == Complex::ONE {
+            Self::Exchange
+        } else {
+            Self::AntiDiagonal(a01, a10)
+        }
+    }
+
+    /// The arithmetic of a dense 2×2 `m`.
+    pub(crate) fn dense(m: &Matrix2) -> Self {
+        let m = m.0;
+        if m.iter().flatten().all(|e| e.im == 0.0) {
+            Self::Real([[m[0][0].re, m[0][1].re], [m[1][0].re, m[1][1].re]])
+        } else {
+            Self::Dense(m)
+        }
+    }
+
+    /// Run this arithmetic over every run pair of `sub` in `amps`,
+    /// each amplitude index standing for `lanes` contiguous values (1
+    /// for a [`State`], the lane count for a pack). Chunks the run
+    /// space across rayon workers when `workers > 1`; returns the
+    /// number of chunks dispatched (0 when serial).
+    ///
+    /// Each arm hands its own closure to [`Subspace::for_each_pair`],
+    /// so the choice is made once per op and every inner loop is a
+    /// branch-free slice zip.
     #[inline]
-    pub(crate) fn next(&self, base: usize) -> usize {
+    pub(crate) fn apply(
+        self,
+        sub: &Subspace,
+        amps: &mut [Complex],
+        lanes: usize,
+        workers: usize,
+    ) -> usize {
+        match self {
+            Self::Phase(d1) => sub.for_each_pair(amps, lanes, workers, move |_, run1| {
+                for a in run1 {
+                    *a = d1 * *a;
+                }
+            }),
+            Self::Diagonal(d0, d1) => sub.for_each_pair(amps, lanes, workers, move |run0, run1| {
+                for (a, b) in run0.iter_mut().zip(run1.iter_mut()) {
+                    *a = d0 * *a;
+                    *b = d1 * *b;
+                }
+            }),
+            Self::Exchange => sub.for_each_pair(amps, lanes, workers, |run0, run1| {
+                run0.swap_with_slice(run1);
+            }),
+            Self::AntiDiagonal(a01, a10) => {
+                sub.for_each_pair(amps, lanes, workers, move |run0, run1| {
+                    for (x, y) in run0.iter_mut().zip(run1.iter_mut()) {
+                        let a = *x;
+                        let b = *y;
+                        *x = a01 * b;
+                        *y = a10 * a;
+                    }
+                })
+            }
+            Self::Real(r) => sub.for_each_pair(amps, lanes, workers, move |run0, run1| {
+                for (x, y) in run0.iter_mut().zip(run1.iter_mut()) {
+                    let a = *x;
+                    let b = *y;
+                    *x = Complex::new(
+                        r[0][0] * a.re + r[0][1] * b.re,
+                        r[0][0] * a.im + r[0][1] * b.im,
+                    );
+                    *y = Complex::new(
+                        r[1][0] * a.re + r[1][1] * b.re,
+                        r[1][0] * a.im + r[1][1] * b.im,
+                    );
+                }
+            }),
+            Self::Dense(m) => sub.for_each_pair(amps, lanes, workers, move |run0, run1| {
+                for (x, y) in run0.iter_mut().zip(run1.iter_mut()) {
+                    let a = *x;
+                    let b = *y;
+                    *x = m[0][0] * a + m[0][1] * b;
+                    *y = m[1][0] * a + m[1][1] * b;
+                }
+            }),
+        }
+    }
+}
+
+/// Lower `op` on an `n`-qubit state to the pairs it touches and the
+/// arithmetic it does on each — the one op-to-kernel mapping shared by
+/// [`State`] and [`StatePack`](crate::pack::StatePack).
+///
+/// # Panics
+///
+/// Panics if the op touches a qubit out of range or repeats one.
+pub(crate) fn lower(n: usize, op: &SimOp) -> (Subspace, PairOp) {
+    let (controls, target) = (op.controls(), op.target());
+    match op.kernel() {
+        KernelOp::Diagonal { d0, d1 } => (
+            Subspace::controlled(n, controls, target),
+            PairOp::diagonal(*d0, *d1),
+        ),
+        KernelOp::AntiDiagonal { a01, a10 } => (
+            Subspace::controlled(n, controls, target),
+            PairOp::antidiagonal(*a01, *a10),
+        ),
+        KernelOp::General(m) => (Subspace::controlled(n, controls, target), PairOp::dense(m)),
+        KernelOp::Swap { other } => (
+            Subspace::swap(n, controls, target, *other),
+            PairOp::Exchange,
+        ),
+    }
+}
+
+/// The run-based enumeration of the amplitude pairs one kernel call
+/// touches, over the `2ⁿ` basis indices of an `n`-qubit state.
+///
+/// The representatives are exactly the indices with every fixed
+/// (control or target) bit zero, in ascending order; each one is
+/// OR-ed with `first` to give the index of the pair's first amplitude,
+/// and its partner sits `offset` above. All positions below the lowest
+/// fixed bit are free, so the set decomposes into `runs` contiguous
+/// runs of `run_len = 2^lowest` indices each. Successive run bases are
+/// enumerated with the carry trick — `base = ((base | step) + 1) &
+/// !step` with the fixed bits *and* the in-run low bits pre-filled
+/// with ones, so the `+ 1` carries straight over both — three ALU ops
+/// per run, while the run interiors are plain contiguous slices the
+/// inner loops can zip over without bounds checks.
+#[derive(Debug)]
+pub(crate) struct Subspace {
+    /// Carry-trick step mask: fixed bits plus the in-run low bits.
+    step: usize,
+    /// Bits OR-ed into every representative to give the pair's first
+    /// index: the controls, plus the low target for a swap.
+    first: usize,
+    /// Distance from a pair's first index to its partner: the target
+    /// mask, or `hi − lo` for a swap. Always `≥ run_len`, so a run
+    /// and its partner run never overlap.
+    offset: usize,
+    /// Length of each contiguous run (`2^lowest_fixed_bit`).
+    run_len: usize,
+    /// Number of runs covering the subspace.
+    runs: usize,
+    /// Basis indices in the state (`2ⁿ`).
+    dim: usize,
+}
+
+/// Panic unless `q` is a qubit of an `n`-qubit state.
+fn check_qubit(n: usize, q: usize) {
+    assert!(q < n, "qubit {q} out of range for {n}-qubit state");
+}
+
+/// Validate `controls` against the already-fixed bits and return their
+/// mask.
+fn control_mask(n: usize, controls: &[usize], fixed: usize) -> usize {
+    let mut cmask = 0usize;
+    for &c in controls {
+        check_qubit(n, c);
+        assert!(
+            (fixed | cmask) & (1 << c) == 0,
+            "qubit {c} used twice in one kernel call"
+        );
+        cmask |= 1 << c;
+    }
+    cmask
+}
+
+impl Subspace {
+    /// Build the enumeration of the representatives with every bit of
+    /// `fixed` clear over `2ⁿ` indices: `2ⁿ⁻¹⁻ᶜ` of them for
+    /// single-target kernels, `2ⁿ⁻²⁻ᶜ` for swaps.
+    fn new(n: usize, fixed: usize, first: usize, offset: usize) -> Self {
+        let low = fixed.trailing_zeros() as usize;
+        let run_len = 1usize << low;
+        let dim = 1usize << n;
+        Self {
+            step: fixed | (run_len - 1),
+            first,
+            offset,
+            run_len,
+            runs: dim >> (fixed.count_ones() as usize + low),
+            dim,
+        }
+    }
+
+    /// The pairs of a single-target kernel on `target` of an `n`-qubit
+    /// state, conditioned on every control being `|1⟩`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any qubit is out of range or repeats.
+    pub(crate) fn controlled(n: usize, controls: &[usize], target: usize) -> Self {
+        check_qubit(n, target);
+        let tmask = 1usize << target;
+        for &c in controls {
+            assert!(c != target, "control {c} equals target");
+        }
+        let cmask = control_mask(n, controls, tmask);
+        Self::new(n, cmask | tmask, cmask, tmask)
+    }
+
+    /// The index pairs a (controlled) swap of `a` and `b` exchanges:
+    /// each representative has the low target set and the high one
+    /// clear, and its partner the reverse.
+    ///
+    /// # Panics
+    ///
+    /// Panics if qubits are out of range, `a == b`, or a control
+    /// overlaps a swap target.
+    pub(crate) fn swap(n: usize, controls: &[usize], a: usize, b: usize) -> Self {
+        check_qubit(n, a);
+        check_qubit(n, b);
+        assert!(a != b, "swap targets must differ");
+        for &c in controls {
+            assert!(c != a && c != b, "control {c} overlaps swap target");
+        }
+        let (lo, hi) = (1usize << a.min(b), 1usize << a.max(b));
+        let cmask = control_mask(n, controls, lo | hi);
+        Self::new(n, cmask | lo | hi, cmask | lo, hi - lo)
+    }
+
+    /// Number of pairs enumerated (`runs × run_len`).
+    pub(crate) fn pairs(&self) -> usize {
+        self.runs * self.run_len
+    }
+
+    #[inline]
+    fn next(&self, base: usize) -> usize {
         ((base | self.step) + 1) & !self.step
     }
 
@@ -174,21 +409,73 @@ impl Subspace {
         }
         base
     }
+
+    /// Apply `body` to every `(first, partner)` run pair, each index
+    /// scaled to a block of `lanes` contiguous values, chunking the run
+    /// space across rayon workers when `workers > 1`. Returns the
+    /// number of parallel chunks dispatched (0 when serial).
+    ///
+    /// The chunk *boundaries* are the only thing that varies with the
+    /// worker count (a serial call is one chunk holding every run):
+    /// every chunk seeks to its first run with [`Subspace::base_at`]
+    /// and then steps with the carry trick, so each run sees the same
+    /// base, the same slices, and the same per-pair arithmetic in the
+    /// same in-run order — results are bit-for-bit identical across
+    /// thread counts.
+    #[inline]
+    fn for_each_pair<F>(&self, amps: &mut [Complex], lanes: usize, workers: usize, body: F) -> usize
+    where
+        F: Fn(&mut [Complex], &mut [Complex]) + Sync,
+    {
+        let len = self.run_len * lanes;
+        let offset = self.offset * lanes;
+        assert_eq!(
+            Some(amps.len()),
+            self.dim.checked_mul(lanes),
+            "amplitude buffer shape"
+        );
+        let shared = SharedAmps(amps.as_mut_ptr());
+        let visit = |chunk: std::ops::Range<usize>| {
+            let mut base = self.base_at(chunk.start);
+            for _ in chunk {
+                let start0 = (base | self.first) * lanes;
+                // SAFETY: every pair index is below `dim`, so both runs
+                // lie in the buffer checked above; the caller owns runs
+                // `chunk` exclusively and the two runs of a pair are
+                // disjoint (see `SharedAmps`).
+                let run0 = unsafe { shared.run(start0, len) };
+                let run1 = unsafe { shared.run(start0 + offset, len) };
+                body(run0, run1);
+                base = self.next(base);
+            }
+        };
+        if workers > 1 && self.runs > 1 {
+            rayon::dispatch_chunks(self.runs, visit)
+        } else {
+            visit(0..self.runs);
+            0
+        }
+    }
 }
 
-/// Raw pointer to the amplitude buffer, shared across chunk workers.
+/// Raw pointer to the amplitude buffer, shared across chunk workers
+/// (a serial call uses it too, as the only worker).
 ///
 /// Sharing is sound because the run enumeration is a *partition*: each
 /// worker owns a disjoint contiguous range of run indices, every run is
 /// visited by exactly one worker, and a run's slices never overlap any
 /// other run's (run bases differ in bits at or above the lowest fixed
 /// bit while each slice spans only the `run_len = 2^lowest` indices
-/// below it; within a pair, the `target = 1` slice starts `tmask ≥
-/// run_len` above the `target = 0` slice).
+/// below it; within a pair, the partner slice starts `offset ≥
+/// run_len` above the first).
 #[derive(Clone, Copy)]
 struct SharedAmps(*mut Complex);
 
+// SAFETY: the one field is a pointer into a `Complex` buffer (plain
+// `Copy` data) that outlives every chunk; the partition above keeps
+// the workers' accesses disjoint.
 unsafe impl Send for SharedAmps {}
+// SAFETY: as for `Send`: shared use only ever derives disjoint runs.
 unsafe impl Sync for SharedAmps {}
 
 impl SharedAmps {
@@ -207,89 +494,7 @@ impl SharedAmps {
     }
 }
 
-/// Apply `body` to every `(target = 0, target = 1)` run pair of `sub`,
-/// chunking the run space across rayon workers when `workers > 1`.
-/// Returns the number of parallel chunks dispatched (0 when serial).
-///
-/// The chunk *boundaries* are the only thing that varies with the
-/// worker count: every chunk seeks to its first run with
-/// [`Subspace::base_at`] and then steps with the same carry trick the
-/// serial loop uses, so each run sees the same base, the same slices,
-/// and the same per-pair arithmetic in the same in-run order — results
-/// are bit-for-bit identical across thread counts.
-fn pair_run_chunks<F>(
-    workers: usize,
-    sub: &Subspace,
-    tmask: usize,
-    amps: &mut [Complex],
-    body: F,
-) -> usize
-where
-    F: Fn(&mut [Complex], &mut [Complex]) + Sync,
-{
-    if workers > 1 && sub.runs > 1 {
-        let shared = SharedAmps(amps.as_mut_ptr());
-        rayon::dispatch_chunks(sub.runs, |chunk| {
-            let mut base = sub.base_at(chunk.start);
-            for _ in chunk {
-                let start0 = base | sub.cmask;
-                // SAFETY: this chunk owns runs `chunk.start..chunk.end`
-                // exclusively and the two slices of a pair are disjoint
-                // (see `SharedAmps`).
-                let run0 = unsafe { shared.run(start0, sub.run_len) };
-                let run1 = unsafe { shared.run(start0 | tmask, sub.run_len) };
-                body(run0, run1);
-                base = sub.next(base);
-            }
-        })
-    } else {
-        let mut base = 0usize;
-        for _ in 0..sub.runs {
-            let (run0, run1) = pair_runs(amps, base | sub.cmask, tmask, sub.run_len);
-            body(run0, run1);
-            base = sub.next(base);
-        }
-        0
-    }
-}
-
-/// The two disjoint contiguous runs of one enumeration step: the
-/// `target = 0` run starting at `base | cmask` and the `target = 1` run
-/// `tmask` above it. `run_len ≤ tmask` always holds (the target bit is
-/// fixed, so every free in-run bit lies below it), hence the runs never
-/// overlap and a `split_at_mut` at the second run's start yields two
-/// independently borrowable slices.
-#[inline]
-fn pair_runs(
-    amps: &mut [Complex],
-    start0: usize,
-    tmask: usize,
-    run_len: usize,
-) -> (&mut [Complex], &mut [Complex]) {
-    let start1 = start0 | tmask;
-    let (lo, hi) = amps.split_at_mut(start1);
-    (&mut lo[start0..start0 + run_len], &mut hi[..run_len])
-}
-
 impl State {
-    /// Validate controls/target and build the enumeration scaffolding.
-    fn control_subspace(&self, controls: &[usize], target: usize) -> Subspace {
-        self.check_qubit(target);
-        let mut fixed = 1usize << target;
-        let mut cmask = 0usize;
-        for &c in controls {
-            self.check_qubit(c);
-            assert!(c != target, "control {c} equals target");
-            assert!(
-                fixed & (1 << c) == 0,
-                "qubit {c} used twice in one kernel call"
-            );
-            fixed |= 1 << c;
-            cmask |= 1 << c;
-        }
-        Subspace::new(fixed, cmask, self.dim() >> (1 + controls.len()))
-    }
-
     /// Worker count the kernels may chunk over: 1 (serial) unless this
     /// state opted in via [`State::set_intra_parallel`], is at or above
     /// [`INTRA_PAR_MIN_QUBITS`], and rayon has more than one worker
@@ -303,6 +508,18 @@ impl State {
         }
     }
 
+    /// Run `op` over the pairs of `sub`, counting one gate and one
+    /// index op per pair.
+    pub(crate) fn apply_pairs(&mut self, sub: &Subspace, op: PairOp) {
+        self.record_gate_op();
+        self.record_index_ops(sub.pairs() as u64);
+        let workers = self.kernel_workers();
+        let chunks = op.apply(sub, self.amps_mut(), 1, workers);
+        if chunks > 0 {
+            self.record_par_chunks(chunks as u64);
+        }
+    }
+
     /// Apply `diag(d0, d1)` to `target`, conditioned on all `controls`
     /// being `|1⟩`: `2ⁿ⁻¹⁻ᶜ` pairs of scalar multiplies, no cross
     /// terms, no index filtering (see the
@@ -312,54 +529,8 @@ impl State {
     ///
     /// Panics if any qubit is out of range or repeats.
     pub fn apply_diagonal(&mut self, controls: &[usize], target: usize, d0: Complex, d1: Complex) {
-        let sub = self.control_subspace(controls, target);
-        let tmask = 1usize << target;
-        let pairs = self.dim() >> (1 + controls.len());
-        self.record_gate_op();
-        self.record_index_ops(pairs as u64);
-        let workers = self.kernel_workers();
-        let amps = self.amps_mut();
-        let chunks = if d0 == Complex::ONE {
-            // Phase-type gates (`s`, `t`, `phase`, every `cphase` /
-            // `ccphase` of the QFT ladders): the |…0⟩ branch is
-            // untouched, so only the set branch is multiplied.
-            let scale = |run1: &mut [Complex]| {
-                for a in run1 {
-                    *a = d1 * *a;
-                }
-            };
-            if workers > 1 && sub.runs > 1 {
-                let shared = SharedAmps(amps.as_mut_ptr());
-                rayon::dispatch_chunks(sub.runs, |chunk| {
-                    let mut base = sub.base_at(chunk.start);
-                    for _ in chunk {
-                        let start1 = base | sub.cmask | tmask;
-                        // SAFETY: this chunk owns its runs exclusively
-                        // (see `SharedAmps`).
-                        scale(unsafe { shared.run(start1, sub.run_len) });
-                        base = sub.next(base);
-                    }
-                })
-            } else {
-                let mut base = 0usize;
-                for _ in 0..sub.runs {
-                    let start1 = base | sub.cmask | tmask;
-                    scale(&mut amps[start1..start1 + sub.run_len]);
-                    base = sub.next(base);
-                }
-                0
-            }
-        } else {
-            pair_run_chunks(workers, &sub, tmask, amps, |run0, run1| {
-                for (a, b) in run0.iter_mut().zip(run1.iter_mut()) {
-                    *a = d0 * *a;
-                    *b = d1 * *b;
-                }
-            })
-        };
-        if chunks > 0 {
-            self.record_par_chunks(chunks as u64);
-        }
+        let sub = Subspace::controlled(self.num_qubits(), controls, target);
+        self.apply_pairs(&sub, PairOp::diagonal(d0, d1));
     }
 
     /// Apply the anti-diagonal gate `[[0, a01], [a10, 0]]` to `target`,
@@ -377,65 +548,26 @@ impl State {
         a01: Complex,
         a10: Complex,
     ) {
-        let sub = self.control_subspace(controls, target);
-        let tmask = 1usize << target;
-        let pairs = self.dim() >> (1 + controls.len());
-        self.record_gate_op();
-        self.record_index_ops(pairs as u64);
-        let workers = self.kernel_workers();
-        let pure_x = a01 == Complex::ONE && a10 == Complex::ONE;
-        let amps = self.amps_mut();
-        let chunks = pair_run_chunks(workers, &sub, tmask, amps, |run0, run1| {
-            if pure_x {
-                // X-type gates (`x`, CNOT, Toffoli): a pure amplitude
-                // permutation, no arithmetic at all.
-                run0.swap_with_slice(run1);
-            } else {
-                for (x, y) in run0.iter_mut().zip(run1.iter_mut()) {
-                    let a = *x;
-                    let b = *y;
-                    *x = a01 * b;
-                    *y = a10 * a;
-                }
-            }
-        });
-        if chunks > 0 {
-            self.record_par_chunks(chunks as u64);
-        }
+        let sub = Subspace::controlled(self.num_qubits(), controls, target);
+        self.apply_pairs(&sub, PairOp::antidiagonal(a01, a10));
     }
 
     /// Apply a dense 2×2 unitary to `target`, conditioned on all
     /// `controls` being `|1⟩`, visiting only the control-satisfying
-    /// subspace.
+    /// subspace: `2ⁿ⁻¹⁻ᶜ` pairs instead of the `2ⁿ⁻¹` candidates
+    /// [`State::apply_controlled_1q`] scans, and the same pairs.
     ///
-    /// Performs exactly the arithmetic of
-    /// [`State::apply_controlled_1q`] on exactly the pairs that path
-    /// touches (bit-for-bit identical results) while enumerating
-    /// `2ⁿ⁻¹⁻ᶜ` pairs instead of scanning `2ⁿ⁻¹` candidates.
+    /// A complex matrix gets exactly that path's arithmetic
+    /// (bit-for-bit identical results); a real one skips the
+    /// zero-imaginary products (value-identical, see the
+    /// [module docs](crate::kernels)).
     ///
     /// # Panics
     ///
     /// Panics if any qubit is out of range or repeats.
     pub fn apply_1q_subspace(&mut self, controls: &[usize], target: usize, m: &Matrix2) {
-        let sub = self.control_subspace(controls, target);
-        let tmask = 1usize << target;
-        let pairs = self.dim() >> (1 + controls.len());
-        self.record_gate_op();
-        self.record_index_ops(pairs as u64);
-        let workers = self.kernel_workers();
-        let m = m.0;
-        let amps = self.amps_mut();
-        let chunks = pair_run_chunks(workers, &sub, tmask, amps, |run0, run1| {
-            for (x, y) in run0.iter_mut().zip(run1.iter_mut()) {
-                let a = *x;
-                let b = *y;
-                *x = m[0][0] * a + m[0][1] * b;
-                *y = m[1][0] * a + m[1][1] * b;
-            }
-        });
-        if chunks > 0 {
-            self.record_par_chunks(chunks as u64);
-        }
+        let sub = Subspace::controlled(self.num_qubits(), controls, target);
+        self.apply_pairs(&sub, PairOp::dense(m));
     }
 
     /// Swap qubits `a` and `b`, conditioned on all `controls` being
@@ -452,65 +584,8 @@ impl State {
     /// Panics if qubits are out of range, `a == b`, or a control
     /// overlaps a swap target.
     pub fn apply_swap_subspace(&mut self, controls: &[usize], a: usize, b: usize) {
-        self.check_qubit(a);
-        self.check_qubit(b);
-        assert!(a != b, "swap targets must differ");
-        let (lo, hi) = (a.min(b), a.max(b));
-        let lo_mask = 1usize << lo;
-        let hi_mask = 1usize << hi;
-        let mut fixed = lo_mask | hi_mask;
-        let mut cmask = 0usize;
-        for &c in controls {
-            self.check_qubit(c);
-            assert!(c != a && c != b, "control {c} overlaps swap target");
-            assert!(
-                fixed & (1 << c) == 0,
-                "qubit {c} used twice in one kernel call"
-            );
-            fixed |= 1 << c;
-            cmask |= 1 << c;
-        }
-        let count = self.dim() >> (2 + controls.len());
-        let sub = Subspace::new(fixed, cmask, count);
-        self.record_gate_op();
-        self.record_index_ops(count as u64);
-        let workers = self.kernel_workers();
-        let amps = self.amps_mut();
-        let chunks = if workers > 1 && sub.runs > 1 {
-            let shared = SharedAmps(amps.as_mut_ptr());
-            rayon::dispatch_chunks(sub.runs, |chunk| {
-                let mut base = sub.base_at(chunk.start);
-                for _ in chunk {
-                    let start_i = base | sub.cmask | lo_mask;
-                    let start_j = (start_i & !lo_mask) | hi_mask;
-                    // SAFETY: this chunk owns its runs exclusively; the
-                    // partner run starts strictly above the
-                    // representative and `run_len ≤ lo_mask < hi_mask`,
-                    // so the two slices never overlap (see `SharedAmps`).
-                    let run_i = unsafe { shared.run(start_i, sub.run_len) };
-                    let run_j = unsafe { shared.run(start_j, sub.run_len) };
-                    run_i.swap_with_slice(run_j);
-                    base = sub.next(base);
-                }
-            })
-        } else {
-            let mut base = 0usize;
-            for _ in 0..sub.runs {
-                // Representative run: controls 1, low bit 1, high bit 0 —
-                // swapped with the run at low bit 0, high bit 1. Both runs
-                // are contiguous (`run_len ≤ lo_mask < hi_mask`) and the
-                // partner run starts strictly above the representative.
-                let start_i = base | sub.cmask | lo_mask;
-                let start_j = (start_i & !lo_mask) | hi_mask;
-                let (lo, hi) = amps.split_at_mut(start_j);
-                lo[start_i..start_i + sub.run_len].swap_with_slice(&mut hi[..sub.run_len]);
-                base = sub.next(base);
-            }
-            0
-        };
-        if chunks > 0 {
-            self.record_par_chunks(chunks as u64);
-        }
+        let sub = Subspace::swap(self.num_qubits(), controls, a, b);
+        self.apply_pairs(&sub, PairOp::Exchange);
     }
 }
 
@@ -612,6 +687,84 @@ mod tests {
         }
     }
 
+    /// Real matrices the dense kernel runs on its real path: `h` and
+    /// `ry` (whose negated entries carry `im = -0.0`), a reflection with
+    /// negative entries, and `h` rebuilt with every imaginary part
+    /// `-0.0`.
+    fn real_matrices() -> Vec<Matrix2> {
+        let r = std::f64::consts::FRAC_1_SQRT_2;
+        let neg_im = |re: f64| Complex::new(re, -0.0);
+        vec![
+            gates::h(),
+            gates::ry(0.83),
+            gates::ry(-2.1),
+            Matrix2([
+                [Complex::real(-0.6), Complex::real(0.8)],
+                [Complex::real(0.8), Complex::real(0.6)],
+            ]),
+            Matrix2([[neg_im(r), neg_im(r)], [neg_im(r), neg_im(-r)]]),
+        ]
+    }
+
+    /// 4-qubit states with exact `+0.0` and `-0.0` components: basis
+    /// states, an `h` layer on part of `|0000⟩`, and one whose zeros
+    /// are all negative.
+    fn signed_zero_states() -> Vec<State> {
+        let mut layer = State::zero(4);
+        for q in [0, 2] {
+            layer.apply_1q(q, &gates::h());
+        }
+        let mut amps = vec![Complex::new(-0.0, -0.0); 16];
+        amps[3] = Complex::new(-0.6, -0.0);
+        amps[12] = Complex::new(-0.0, 0.8);
+        vec![
+            State::basis(4, 0).unwrap(),
+            State::basis(4, 11).unwrap(),
+            layer,
+            State::from_amplitudes(amps).unwrap(),
+        ]
+    }
+
+    #[test]
+    fn real_matrices_take_the_real_path() {
+        for m in real_matrices() {
+            assert!(matches!(PairOp::dense(&m), PairOp::Real(_)), "{m:?}");
+        }
+        for m in [gates::u3(0.3, 1.1, -0.4), gates::rx(0.4)] {
+            assert!(matches!(PairOp::dense(&m), PairOp::Dense(_)), "{m:?}");
+        }
+    }
+
+    #[test]
+    fn real_dense_kernel_is_value_identical() {
+        for (si, start) in signed_zero_states().into_iter().enumerate() {
+            for (controls, target) in [
+                (vec![], 0),
+                (vec![], 2),
+                (vec![0], 1),
+                (vec![3], 0),
+                (vec![0, 3], 2),
+            ] {
+                // Each step compares against the reference evolved on
+                // its own, so sign-of-zero differences may accumulate
+                // across the sequence; values must never differ.
+                let mut fast = start.clone();
+                let mut reference = start.clone();
+                for (mi, m) in real_matrices().iter().enumerate() {
+                    fast.apply_1q_subspace(&controls, target, m);
+                    reference.apply_controlled_1q(&controls, target, m);
+                    let at = format!("state {si}, controls {controls:?}, matrix {mi}");
+                    for i in 0..fast.dim() {
+                        assert_eq!(fast.amplitude(i), reference.amplitude(i), "{at}, index {i}");
+                    }
+                    for (p, q) in fast.probabilities().iter().zip(&reference.probabilities()) {
+                        assert_eq!(p.to_bits(), q.to_bits(), "{at}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn subspace_swap_is_bit_identical() {
         for controls in [vec![], vec![2], vec![2, 3]] {
@@ -686,18 +839,18 @@ mod tests {
 
     #[test]
     fn base_at_matches_carry_enumeration() {
-        // (fixed, cmask, count) shapes: plain 1q targets at several
-        // positions, controlled kernels, and a swap-style double-fixed
-        // mask, all over a 2¹⁰ space.
-        for (fixed, cmask, count) in [
-            (0b1usize, 0usize, 512),
-            (0b100, 0, 512),
-            (1 << 9, 0, 512),
-            (0b10011, 0b10010, 128),
-            (0b1100000, 0b0100000, 256),
-            (0b0000110, 0, 256),
+        // (fixed, cmask) shapes: plain 1q targets at several positions,
+        // controlled kernels, and a swap-style double-fixed mask, all
+        // over a 2¹⁰ space.
+        for (fixed, cmask) in [
+            (0b1usize, 0usize),
+            (0b100, 0),
+            (1 << 9, 0),
+            (0b10011, 0b10010),
+            (0b1100000, 0b0100000),
+            (0b0000110, 0),
         ] {
-            let sub = Subspace::new(fixed, cmask, count);
+            let sub = Subspace::new(10, fixed, cmask, 0);
             let mut base = 0usize;
             for k in 0..sub.runs {
                 assert_eq!(

@@ -506,13 +506,16 @@ impl NoiseModel {
         self
     }
 
-    /// `true` when the model introduces no errors at all.
+    /// `true` when the model introduces no errors at all: every rate
+    /// is exactly zero. A NaN or negative rate is not noiseless, so it
+    /// stays visible to validation instead of being normalized away.
     #[must_use]
     pub fn is_noiseless(&self) -> bool {
         self.gate_noise
             .as_ref()
-            .is_none_or(|c| c.probability() <= 0.0)
-            && !self.readout.is_lossy()
+            .is_none_or(|c| c.probability() == 0.0)
+            && self.readout.p01 == 0.0
+            && self.readout.p10 == 0.0
     }
 
     /// `true` when the gate channel (if any) is a stochastic Pauli —

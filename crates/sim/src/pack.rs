@@ -20,23 +20,22 @@
 //!
 //! ## Equivalence contract
 //!
-//! The pack kernels perform, per lane, the *identical* scalar
-//! arithmetic of the corresponding [`State`] kernels, on the same
-//! amplitude pairs, in the same ascending order: the `(pair, lane)`
+//! A pack has no kernels of its own: [`StatePack::apply_op`] runs the
+//! dense kernels' enumeration and per-pair arithmetic (the crate's
+//! `PairOp`, defined once in [`crate::kernels`]) with each
+//! amplitude index widened to a block of K lanes. The `(pair, lane)`
 //! element at SoA offset `j·K + k` pairs with `j·K + k` of the partner
 //! block exactly as element `j` pairs with `j` in the unpacked run, so
-//! zipping the scaled blocks preserves the per-lane pairing and order.
-//! Per-lane faults are applied with [`StatePack::apply_pauli_lane`],
-//! which mirrors [`State::apply_1q`]'s dense loop bit for bit.
-//! Extracting a lane therefore yields amplitudes bit-identical to
-//! replaying that trajectory alone on a [`State`] (up to the documented
-//! sign-of-zero caveat of the specialized kernels, which both paths
-//! share).
+//! zipping the widened blocks preserves the per-lane pairing and
+//! order. Per-lane faults are applied with
+//! [`StatePack::apply_pauli_lane`], which mirrors [`State::apply_1q`]'s
+//! dense loop bit for bit. Extracting a lane therefore yields
+//! amplitudes bit-identical to replaying that trajectory alone on a
+//! [`State`], by construction.
 
-use crate::backend::{KernelOp, SimOp};
+use crate::backend::SimOp;
 use crate::complex::Complex;
-use crate::gates::Matrix2;
-use crate::kernels::Subspace;
+use crate::kernels;
 use crate::state::{Pauli, State};
 
 /// K same-shape statevectors stored SoA: lane `k` of basis index `i`
@@ -162,179 +161,19 @@ impl StatePack {
         }
     }
 
-    fn check_qubit(&self, q: usize) -> usize {
-        assert!(
-            q < self.num_qubits,
-            "qubit {q} out of range for {}-qubit pack",
-            self.num_qubits
-        );
-        q
-    }
-
-    /// Validate controls/target and build the per-index enumeration
-    /// (identical to the dense kernels' — the SoA scaling by `width`
-    /// happens at slice extraction).
-    fn control_subspace(&self, controls: &[usize], target: usize) -> Subspace {
-        self.check_qubit(target);
-        let mut fixed = 1usize << target;
-        let mut cmask = 0usize;
-        for &c in controls {
-            self.check_qubit(c);
-            assert!(c != target, "control {c} equals target");
-            assert!(
-                fixed & (1 << c) == 0,
-                "qubit {c} used twice in one kernel call"
-            );
-            fixed |= 1 << c;
-            cmask |= 1 << c;
-        }
-        Subspace::new(fixed, cmask, self.dim() >> (1 + controls.len()))
-    }
-
-    /// The SoA blocks of one run pair: amplitude-index runs
-    /// `[start0, start0 + run_len)` and the `tmask`-offset partner,
-    /// scaled by `width` into contiguous `run_len × width` slices.
-    #[inline]
-    fn pair_blocks(
-        &mut self,
-        start0: usize,
-        tmask: usize,
-        run_len: usize,
-    ) -> (&mut [Complex], &mut [Complex]) {
-        let width = self.width;
-        let start1 = start0 | tmask;
-        let (lo, hi) = self.amps.split_at_mut(start1 * width);
-        (
-            &mut lo[start0 * width..(start0 + run_len) * width],
-            &mut hi[..run_len * width],
-        )
-    }
-
     /// Apply one lowered op to every lane — the packed analogue of
     /// [`SimBackend::apply_op`](crate::backend::SimBackend::apply_op)
-    /// on [`State`], with per-lane arithmetic identical to the dense
-    /// kernels'.
+    /// on [`State`]. The enumeration and the per-pair arithmetic are
+    /// the dense kernels' own, with every amplitude index widened to
+    /// its block of `width` lanes.
     ///
     /// # Panics
     ///
     /// Panics if the op touches a qubit out of range or repeats one.
     pub fn apply_op(&mut self, op: &SimOp) {
-        match op.kernel() {
-            KernelOp::Diagonal { d0, d1 } => {
-                self.apply_diagonal(op.controls(), op.target(), *d0, *d1);
-            }
-            KernelOp::AntiDiagonal { a01, a10 } => {
-                self.apply_antidiagonal(op.controls(), op.target(), *a01, *a10);
-            }
-            KernelOp::General(m) => self.apply_general(op.controls(), op.target(), m),
-            KernelOp::Swap { other } => self.apply_swap(op.controls(), op.target(), *other),
-        }
-    }
-
-    fn apply_diagonal(&mut self, controls: &[usize], target: usize, d0: Complex, d1: Complex) {
-        let sub = self.control_subspace(controls, target);
-        let tmask = 1usize << target;
+        let (sub, pair_op) = kernels::lower(self.num_qubits, op);
         self.gate_ops += 1;
-        let width = self.width;
-        let mut base = 0usize;
-        if d0 == Complex::ONE {
-            for _ in 0..sub.runs {
-                let start1 = (base | sub.cmask | tmask) * width;
-                for a in &mut self.amps[start1..start1 + sub.run_len * width] {
-                    *a = d1 * *a;
-                }
-                base = sub.next(base);
-            }
-        } else {
-            for _ in 0..sub.runs {
-                let (run0, run1) = self.pair_blocks(base | sub.cmask, tmask, sub.run_len);
-                for (a, b) in run0.iter_mut().zip(run1.iter_mut()) {
-                    *a = d0 * *a;
-                    *b = d1 * *b;
-                }
-                base = sub.next(base);
-            }
-        }
-    }
-
-    fn apply_antidiagonal(
-        &mut self,
-        controls: &[usize],
-        target: usize,
-        a01: Complex,
-        a10: Complex,
-    ) {
-        let sub = self.control_subspace(controls, target);
-        let tmask = 1usize << target;
-        self.gate_ops += 1;
-        let pure_x = a01 == Complex::ONE && a10 == Complex::ONE;
-        let mut base = 0usize;
-        for _ in 0..sub.runs {
-            let (run0, run1) = self.pair_blocks(base | sub.cmask, tmask, sub.run_len);
-            if pure_x {
-                run0.swap_with_slice(run1);
-            } else {
-                for (x, y) in run0.iter_mut().zip(run1.iter_mut()) {
-                    let a = *x;
-                    let b = *y;
-                    *x = a01 * b;
-                    *y = a10 * a;
-                }
-            }
-            base = sub.next(base);
-        }
-    }
-
-    fn apply_general(&mut self, controls: &[usize], target: usize, m: &Matrix2) {
-        let sub = self.control_subspace(controls, target);
-        let tmask = 1usize << target;
-        self.gate_ops += 1;
-        let m = m.0;
-        let mut base = 0usize;
-        for _ in 0..sub.runs {
-            let (run0, run1) = self.pair_blocks(base | sub.cmask, tmask, sub.run_len);
-            for (x, y) in run0.iter_mut().zip(run1.iter_mut()) {
-                let a = *x;
-                let b = *y;
-                *x = m[0][0] * a + m[0][1] * b;
-                *y = m[1][0] * a + m[1][1] * b;
-            }
-            base = sub.next(base);
-        }
-    }
-
-    fn apply_swap(&mut self, controls: &[usize], a: usize, b: usize) {
-        self.check_qubit(a);
-        self.check_qubit(b);
-        assert!(a != b, "swap targets must differ");
-        let (lo, hi) = (a.min(b), a.max(b));
-        let lo_mask = 1usize << lo;
-        let hi_mask = 1usize << hi;
-        let mut fixed = lo_mask | hi_mask;
-        let mut cmask = 0usize;
-        for &c in controls {
-            self.check_qubit(c);
-            assert!(c != a && c != b, "control {c} overlaps swap target");
-            assert!(
-                fixed & (1 << c) == 0,
-                "qubit {c} used twice in one kernel call"
-            );
-            fixed |= 1 << c;
-            cmask |= 1 << c;
-        }
-        let count = self.dim() >> (2 + controls.len());
-        let sub = Subspace::new(fixed, cmask, count);
-        self.gate_ops += 1;
-        let width = self.width;
-        let mut base = 0usize;
-        for _ in 0..sub.runs {
-            let start_i = base | sub.cmask | lo_mask;
-            let start_j = (start_i & !lo_mask) | hi_mask;
-            let (lo, hi) = self.amps.split_at_mut(start_j * width);
-            lo[start_i * width..(start_i + sub.run_len) * width]
-                .swap_with_slice(&mut hi[..sub.run_len * width]);
-            base = sub.next(base);
-        }
+        pair_op.apply(&sub, &mut self.amps, self.width, 1);
     }
 
     /// Apply a single-qubit Pauli to **one lane** — the per-trajectory
@@ -351,7 +190,11 @@ impl StatePack {
     /// Panics if `k ≥ width()` or `q` is out of range.
     pub fn apply_pauli_lane(&mut self, k: usize, q: usize, p: Pauli) {
         assert!(k < self.width, "lane {k} out of range");
-        self.check_qubit(q);
+        assert!(
+            q < self.num_qubits,
+            "qubit {q} out of range for {}-qubit pack",
+            self.num_qubits
+        );
         if p == Pauli::I {
             return;
         }
@@ -376,7 +219,7 @@ impl StatePack {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::SimBackend;
+    use crate::backend::{KernelOp, SimBackend};
     use crate::gates;
 
     /// A fixed non-trivial 5-qubit checkpoint.
@@ -421,6 +264,8 @@ mod tests {
             ),
             SimOp::new(vec![1], 2, KernelOp::Swap { other: 4 }),
             SimOp::new(vec![], 3, KernelOp::General(gates::u3(0.3, -0.9, 1.7))),
+            SimOp::new(vec![2], 4, KernelOp::General(gates::ry(0.77))),
+            SimOp::new(vec![], 0, KernelOp::General(gates::h())),
         ]
     }
 
