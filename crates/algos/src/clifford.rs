@@ -238,11 +238,10 @@ mod tests {
 
     fn runner(backend: BackendChoice) -> EnsembleRunner {
         EnsembleRunner::new(
-            EnsembleConfig::builder()
-                .shots(256)
-                .seed(6)
-                .backend(backend)
-                .build(),
+            EnsembleConfig::default()
+                .with_shots(256)
+                .with_seed(6)
+                .with_backend(backend),
         )
     }
 

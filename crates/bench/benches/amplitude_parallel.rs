@@ -1,16 +1,5 @@
-//! Amplitude-parallel kernels and packed suffix replay — the two new
-//! parallel axes, cross-checked on every run and timed under `--bench`.
-//!
-//! **Kernels** (`amplitude_parallel/kernels_n18`): an 18-qubit
-//! rotation/Toffoli-heavy compiled circuit applied to one statevector,
-//! serial vs intra-parallel ([`State::set_intra_parallel`]). The
-//! chunked kernels promise bit-identity — each worker owns a disjoint
-//! slice of runs and walks the same pairs in the same order with the
-//! same arithmetic — so every run (smoke mode included) compares the
-//! two final states amplitude by amplitude, to the last bit. With ≥ 2
-//! effective workers the `--bench` mode asserts the parallel pass beats
-//! serial by ≥ 2×; single-worker hosts skip via the shared
-//! [`qdb_bench::multicore_gate`].
+//! Packed suffix replay, cross-checked on every run and timed under
+//! `--bench`.
 //!
 //! **Packed replay** (`amplitude_parallel/packed_{shor_n15,shor_noisy,grover}`):
 //! the noisy trajectory tree with `pack_width` 8 vs 1 (packing
@@ -26,58 +15,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qdb_algos::grover::{grover_program, optimal_iterations, GroverStyle};
 use qdb_algos::shor::{shor_program, ShorConfig};
 use qdb_algos::{ControlRouting, Gf2m};
-use qdb_circuit::{Circuit, CompiledCircuit, GateSink, OptLevel, Program};
+use qdb_circuit::Program;
 use qdb_core::{EnsembleConfig, EnsembleRunner, NoisySessionStats};
-use qdb_sim::{NoiseModel, State};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use qdb_sim::NoiseModel;
 use std::time::Instant;
-
-/// 18 qubits: past `INTRA_PAR_MIN_QUBITS` (15), so the `Auto` policy
-/// and a bare `set_intra_parallel(true)` both chunk, and one pass
-/// (2¹⁸ amplitudes × hundreds of gates) is long enough to time.
-const KERNEL_QUBITS: usize = 18;
-const KERNEL_GATES: usize = 220;
-
-/// Deterministic rotation/Toffoli-heavy circuit at statevector scale —
-/// the same gate mix as the `gate_kernels` bench, six qubits bigger, so
-/// the work lands in the chunked subspace kernels (diagonal,
-/// anti-diagonal, general 2×2, swap).
-fn kernel_circuit() -> Circuit {
-    let mut rng = StdRng::seed_from_u64(0xA11CE);
-    let mut c = Circuit::new(KERNEL_QUBITS);
-    for q in 0..KERNEL_QUBITS {
-        c.h(q);
-    }
-    for _ in 0..KERNEL_GATES - KERNEL_QUBITS {
-        let a = rng.gen_range(0..KERNEL_QUBITS);
-        let b = (a + rng.gen_range(1..KERNEL_QUBITS)) % KERNEL_QUBITS;
-        let mut e = rng.gen_range(0..KERNEL_QUBITS);
-        while e == a || e == b {
-            e = (e + 1) % KERNEL_QUBITS;
-        }
-        let theta = rng.gen_range(-3.0..3.0);
-        match rng.gen_range(0..12u8) {
-            0 => c.rz(a, theta),
-            1 => c.t(a),
-            2 => c.x(a),
-            3..=5 => c.cphase(a, b, theta),
-            6 | 7 => c.ccphase(a, b, e, theta),
-            8 | 9 => c.ccx(a, b, e),
-            _ => c.cswap(a, b, e),
-        }
-    }
-    c
-}
-
-/// One full compiled pass over a fresh `|0…0⟩` state with the given
-/// intra-state setting.
-fn kernel_pass(plan: &CompiledCircuit, intra: bool) -> State {
-    let mut state = State::zero(KERNEL_QUBITS);
-    state.set_intra_parallel(intra);
-    plan.apply_to(&mut state);
-    state
-}
 
 /// Median per-iteration seconds over `samples` timed batches.
 fn time_median(samples: usize, mut routine: impl FnMut()) -> f64 {
@@ -192,7 +133,6 @@ fn cross_check_packed(name: &str, program: &Program, config: &EnsembleConfig) ->
 
 fn bench_amplitude_parallel(c: &mut Criterion) {
     let labels = [
-        "amplitude_parallel/kernels_n18",
         "amplitude_parallel/packed_shor_n15",
         "amplitude_parallel/packed_shor_noisy",
         "amplitude_parallel/packed_grover",
@@ -210,80 +150,7 @@ fn bench_amplitude_parallel(c: &mut Criterion) {
             .is_none_or(|f| label.contains(f) || f.contains("amplitude_parallel"))
     };
 
-    // ── Case 1: intra-state chunked kernels on one 18-qubit state ──
-    if runs("amplitude_parallel/kernels_n18") {
-        let plan = kernel_circuit().compile(OptLevel::Specialize);
-        let serial = kernel_pass(&plan, false);
-        let parallel = kernel_pass(&plan, true);
-        // The whole contract: bit-identical amplitudes, any thread count.
-        assert_eq!(serial.dim(), parallel.dim());
-        for i in 0..serial.dim() {
-            let (a, b) = (serial.amplitude(i), parallel.amplitude(i));
-            assert_eq!(a.re.to_bits(), b.re.to_bits(), "amp {i} re diverged");
-            assert_eq!(a.im.to_bits(), b.im.to_bits(), "amp {i} im diverged");
-        }
-        assert_eq!(serial.par_chunks(), 0, "serial pass must not chunk");
-        let workers = qdb_bench::effective_workers();
-        if workers >= 2 {
-            assert!(
-                parallel.par_chunks() > 0,
-                "intra-parallel pass never chunked with {workers} workers"
-            );
-        }
-        println!(
-            "amplitude_parallel kernels_n18: {} compiled ops on {KERNEL_QUBITS} qubits, \
-             {} chunks dispatched ({workers} workers)",
-            plan.ops().len(),
-            parallel.par_chunks()
-        );
-        criterion::record_metric(
-            "amplitude_parallel/kernels_n18",
-            "chunk_count",
-            parallel.par_chunks() as f64,
-        );
-
-        if bench_mode {
-            if let Some(workers) =
-                qdb_bench::multicore_gate("amplitude_parallel kernels_n18 speedup check")
-            {
-                let serial_s = time_median(5, || {
-                    std::hint::black_box(kernel_pass(&plan, false));
-                });
-                let parallel_s = time_median(5, || {
-                    std::hint::black_box(kernel_pass(&plan, true));
-                });
-                let speedup = serial_s / parallel_s;
-                println!(
-                    "amplitude_parallel kernels_n18: {speedup:.2}x with {workers} workers \
-                     ({:.1} ms serial vs {:.1} ms parallel)",
-                    serial_s * 1e3,
-                    parallel_s * 1e3
-                );
-                criterion::record_metric("amplitude_parallel/kernels_n18", "speedup", speedup);
-                assert!(
-                    speedup >= 2.0,
-                    "intra-state kernels must be ≥2x serial with {workers} workers, \
-                     got {speedup:.2}x"
-                );
-            }
-        }
-
-        let mut group = c.benchmark_group("amplitude_parallel");
-        group.sample_size(10);
-        for intra in [false, true] {
-            let label = if intra {
-                "kernels_n18_intra"
-            } else {
-                "kernels_n18_serial"
-            };
-            group.bench_with_input(BenchmarkId::from_parameter(label), &(), |b, ()| {
-                b.iter(|| kernel_pass(&plan, intra));
-            });
-        }
-        group.finish();
-    }
-
-    // ── Case 2: packed suffix replay on the noisy flagship ensembles ──
+    // Packed suffix replay on the noisy flagship ensembles.
     let cases: [(&str, (Program, EnsembleConfig)); 3] = [
         ("shor_n15", shor_case()),
         ("shor_noisy", shor_noisy_case()),

@@ -44,11 +44,10 @@ fn cases() -> Vec<(&'static str, DeviceProfile, Program, EnsembleConfig)> {
     let diagnosed = DeviceProfile::transmon_like(9);
     let (diag_program, diag_noise) = device_repetition_code(&diagnosed, 5, Some(PauliFault::X(2)));
     let config = |noise| {
-        EnsembleConfig::builder()
-            .shots(256)
-            .seed(7)
-            .noise(noise)
-            .build()
+        EnsembleConfig::default()
+            .with_shots(256)
+            .with_seed(7)
+            .with_noise(noise)
     };
     vec![
         ("d3_clean", clean, clean_program, config(clean_noise)),
@@ -157,7 +156,7 @@ fn session_cross_check(name: &str, program: &Program, config: &EnsembleConfig) {
 
     // The noise demonstrably acts (histograms shift against the
     // noiseless run)…
-    let ideal = EnsembleRunner::new(EnsembleConfig::builder().shots(256).seed(7).build())
+    let ideal = EnsembleRunner::new(EnsembleConfig::default().with_shots(256).with_seed(7))
         .check_program(program)
         .expect("noiseless session");
     assert!(

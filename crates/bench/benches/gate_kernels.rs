@@ -12,8 +12,7 @@
 //! equal gate counts) and that the compiled path provably does less
 //! index work, then times both. **In full measurement mode the ≥2×
 //! wall-clock claim is asserted, not just reported** (single-core; no
-//! parallelism is involved in either path). The opt-in fused plan is
-//! also timed, cross-checked at approximate equality.
+//! parallelism is involved in either path).
 //!
 //! A second case, `shor_n15_classes`, splits one pass over the 13-qubit
 //! Shor N = 15 plan (paper §4.6) by kernel class — diagonal,
@@ -88,11 +87,7 @@ fn bench_gate_kernels(c: &mut Criterion) {
     // filter is matched against every label we would run (as the
     // harness itself would), not just the group name, so
     // `cargo bench … gate_kernels compiled` still runs.
-    let labels = [
-        "gate_kernels/interpreted",
-        "gate_kernels/compiled",
-        "gate_kernels/fused",
-    ];
+    let labels = ["gate_kernels/interpreted", "gate_kernels/compiled"];
     let filter: Option<String> = std::env::args().skip(1).find(|arg| !arg.starts_with("--"));
     if let Some(f) = &filter {
         if !labels.iter().any(|label| label.contains(f.as_str())) {
@@ -103,14 +98,11 @@ fn bench_gate_kernels(c: &mut Criterion) {
 
     let circuit = rotation_toffoli_circuit();
     let plan = circuit.compile(OptLevel::Specialize);
-    let fused = circuit.compile(OptLevel::Fuse);
     let (diag, anti, general, swaps) = plan.kernel_census();
     println!(
         "gate_kernels: {} gates on {NUM_QUBITS} qubits → kernels: \
-         {diag} diagonal, {anti} anti-diagonal, {general} general, {swaps} swap \
-         ({} fused ops)",
+         {diag} diagonal, {anti} anti-diagonal, {general} general, {swaps} swap",
         circuit.len(),
-        fused.ops().len(),
     );
 
     // The speedup claim is only honest if the paths agree exactly.
@@ -127,12 +119,6 @@ fn bench_gate_kernels(c: &mut Criterion) {
         assert_eq!(p.to_bits(), q.to_bits(), "probability bits diverged");
     }
     assert_eq!(compiled.gate_ops(), reference.gate_ops());
-    let mut fused_state = State::zero(NUM_QUBITS);
-    fused.apply_to(&mut fused_state);
-    assert!(
-        fused_state.approx_eq(&reference, 1e-9),
-        "fused path beyond tolerance"
-    );
 
     // And the index-work claim is checked, not assumed.
     let interpreted_work = reference.index_ops();
@@ -193,13 +179,6 @@ fn bench_gate_kernels(c: &mut Criterion) {
         bencher.iter(|| {
             let mut s = State::zero(NUM_QUBITS);
             plan.apply_to(&mut s);
-            s
-        });
-    });
-    group.bench_function("fused", |bencher| {
-        bencher.iter(|| {
-            let mut s = State::zero(NUM_QUBITS);
-            fused.apply_to(&mut s);
             s
         });
     });

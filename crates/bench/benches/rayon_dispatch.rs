@@ -6,8 +6,6 @@
 //! bodies, so the time is all scheduling:
 //!
 //! * `join/w{N}` — one [`rayon::join`] of two empty closures;
-//! * `dispatch_chunks2/w{N}` — one `dispatch_chunks(2, ..)`, the shape
-//!   of the smallest amplitude-parallel kernel dispatch;
 //! * `collect16/w{N}` — one 16-item `into_par_iter().map(..).collect()`,
 //!   the shape of a `shor_noisy` presampling loop (16 shots).
 //!
@@ -35,15 +33,10 @@ fn with_workers<T>(workers: usize, f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// The three measured shapes, each with an empty body.
-const SHAPES: [(&str, fn()); 3] = [
+/// The two measured shapes, each with an empty body.
+const SHAPES: [(&str, fn()); 2] = [
     ("join", || {
         std::hint::black_box(rayon::join(|| 1u8, || 2u8));
-    }),
-    ("dispatch_chunks2", || {
-        rayon::dispatch_chunks(2, |range| {
-            std::hint::black_box(range);
-        });
     }),
     ("collect16", || {
         let out: Vec<usize> = (0..16).into_par_iter().map(|i| i).collect();
@@ -60,7 +53,6 @@ fn bench_rayon_dispatch(c: &mut Criterion) {
         with_workers(workers, || {
             // The shapes return the right values at this worker count.
             assert_eq!(rayon::join(|| 1, || 2), (1, 2));
-            assert_eq!(rayon::dispatch_chunks(2, |_| {}), workers.min(2));
             let collected: Vec<usize> = (0..16).into_par_iter().map(|i| i).collect();
             assert_eq!(collected, (0..16).collect::<Vec<_>>());
             for (shape, run) in SHAPES {

@@ -37,12 +37,11 @@ const QUBIT_COUNTS: [usize; 3] = [34, 44, 56];
 const COUNTING: usize = 5;
 
 fn config(backend: BackendChoice) -> EnsembleConfig {
-    EnsembleConfig::builder()
-        .shots(128)
-        .seed(6)
-        .parallel(false) // single-core numbers: the claim is algorithmic
-        .backend(backend)
-        .build()
+    EnsembleConfig::default()
+        .with_shots(128)
+        .with_seed(6)
+        .with_parallel(false) // single-core numbers: the claim is algorithmic
+        .with_backend(backend)
 }
 
 /// The scenario suite at a given scale: Shor-style period finding over

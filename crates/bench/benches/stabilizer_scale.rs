@@ -25,12 +25,11 @@ use qdb_core::{BackendChoice, EnsembleConfig, EnsembleRunner, Verdict};
 const QUBIT_COUNTS: [usize; 3] = [64, 128, 256];
 
 fn config(backend: BackendChoice) -> EnsembleConfig {
-    EnsembleConfig::builder()
-        .shots(128)
-        .seed(6)
-        .parallel(false) // single-core numbers: the claim is algorithmic
-        .backend(backend)
-        .build()
+    EnsembleConfig::default()
+        .with_shots(128)
+        .with_seed(6)
+        .with_parallel(false) // single-core numbers: the claim is algorithmic
+        .with_backend(backend)
 }
 
 /// The scenario suite at a given scale: GHZ ladder, teleportation

@@ -19,10 +19,9 @@
 //!    (from the source [`GateKind`], exactly — never by matrix
 //!    matching), so Clifford-only plans ([`CompiledCircuit::is_clifford`])
 //!    can run on the polynomial-time stabilizer backend;
-//! 4. optionally ([`OptLevel::Fuse`]) runs of adjacent uncontrolled
-//!    single-qubit gates on the same target are fused into one matrix —
-//!    or ([`OptLevel::FuseExact`]) only the runs for which that fusion
-//!    is provably bit-exact.
+//! 4. optionally ([`OptLevel::FuseExact`]) runs of adjacent
+//!    uncontrolled single-qubit gates on the same target are fused into
+//!    one matrix, when that fusion is provably bit-exact.
 //!
 //! The result is reused across every application: the ensemble sweep,
 //! per-prefix replays, and noisy trajectories all walk the same plan —
@@ -39,16 +38,13 @@
 //! probability, sample, and report is bit-for-bit identical; see
 //! [`qdb_sim::kernels`] for the one sign-of-zero caveat), and
 //! [`State::gate_ops`] advances exactly as if the source instructions
-//! had been interpreted. [`OptLevel::Fuse`] genuinely reassociates
-//! floating-point products, so it guarantees only approximate equality
-//! (to simulation precision) and is **opt-in**; fused plans refuse the
+//! had been interpreted. [`OptLevel::FuseExact`] fuses only
+//! unit-monomial runs (entries in `{0, ±1, ±i}`), where the composition
+//! is exact in f64, so it keeps the bit-for-bit report guarantee while
+//! collapsing Pauli/phase gate runs. Fused plans refuse the
 //! noisy-trajectory entry points, whose per-instruction noise insertion
-//! points fusion would erase, and drop the per-op Clifford
-//! classification (a fused plan is never [`is_clifford`]).
-//! [`OptLevel::FuseExact`] restricts fusion to unit-monomial runs
-//! (entries in `{0, ±1, ±i}`) where the composition is exact in f64,
-//! preserving the bit-for-bit report guarantee while still collapsing
-//! Pauli/phase gate runs.
+//! points fusion would erase, and a multi-gate fused op carries no
+//! Clifford classification (see [`is_clifford`]).
 //!
 //! ## Clifford classification
 //!
@@ -68,7 +64,7 @@ use qdb_sim::kernels::{classify, MatrixClass};
 use qdb_sim::{CliffordGate1, CliffordOp, KernelOp, Matrix2, SimBackend, SimOp, State, StatePack};
 
 /// How aggressively [`CompiledCircuit::compile`] lowers a circuit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum OptLevel {
     /// Precompute matrices and specialize kernels, keeping compiled ops
     /// 1:1 with source instructions. Results are value-identical to the
@@ -76,14 +72,6 @@ pub enum OptLevel {
     /// identical. The default.
     #[default]
     Specialize,
-    /// Additionally fuse runs of adjacent uncontrolled single-qubit
-    /// gates on the same target into one matrix. Fusion reassociates
-    /// floating-point arithmetic, so results are only approximately
-    /// equal — drift grows with depth, roughly 1e-12 per fused gate
-    /// (the repo's 600-gate kernel bench stays within 1e-9); opt in
-    /// explicitly where that trade is acceptable. Fused plans cannot
-    /// replay noisy trajectories and are never Clifford-classified.
-    Fuse,
     /// Fuse **only** runs whose matrices are *unit-monomial* — every
     /// entry in `{0, ±1, ±i}`: X, Y, Z, S, S†, and their products.
     /// For this class fusion is exact, not approximate: composing the
@@ -233,11 +221,10 @@ impl CompiledCircuit {
                 if let Some((start, target, m)) = run.take() {
                     // A multi-gate fused run composes matrices; it
                     // carries no Clifford classification even if every
-                    // source gate had one. A single-gate "run" under
-                    // FuseExact is 1:1 with its source instruction, so
-                    // it keeps the classification Specialize would have
-                    // attached.
-                    let clifford = if opt == OptLevel::FuseExact && end == start + 1 {
+                    // source gate had one. A single-gate "run" is 1:1
+                    // with its source instruction, so it keeps the
+                    // classification Specialize would have attached.
+                    let clifford = if end == start + 1 {
                         classify_clifford(&instructions[start])
                     } else {
                         None
@@ -258,9 +245,9 @@ impl CompiledCircuit {
                     controls,
                     target,
                     kind,
-                } if controls.is_empty()
-                    && (opt == OptLevel::Fuse
-                        || (opt == OptLevel::FuseExact && is_unit_monomial(&kind.matrix()))) =>
+                } if opt == OptLevel::FuseExact
+                    && controls.is_empty()
+                    && is_unit_monomial(&kind.matrix()) =>
                 {
                     let m = kind.matrix();
                     match &mut run {
@@ -337,7 +324,7 @@ impl CompiledCircuit {
 
     /// `true` when every op carries a Clifford classification, i.e. the
     /// whole plan can execute on the stabilizer tableau backend. Always
-    /// `false` for [`OptLevel::Fuse`] plans with at least one fused op.
+    /// `false` for a plan with at least one multi-gate fused op.
     #[must_use]
     pub fn is_clifford(&self) -> bool {
         self.ops.iter().all(|op| op.clifford().is_some())
@@ -443,7 +430,7 @@ impl CompiledCircuit {
     /// against ~2¹⁶ amplitude visits of real work. Because the ops are
     /// batched directly — not by slicing the *source* range, which
     /// would panic on fused-op boundaries — this is safe at every
-    /// [`OptLevel`], including [`OptLevel::Fuse`].
+    /// [`OptLevel`], including [`OptLevel::FuseExact`].
     ///
     /// # Errors
     ///
@@ -485,7 +472,7 @@ impl CompiledCircuit {
     /// # Panics
     ///
     /// Panics if the state is too small, or if the plan was compiled
-    /// with [`OptLevel::Fuse`] (fusion erases the per-instruction
+    /// with fused ops (fusion erases the per-instruction
     /// noise insertion points).
     pub fn apply_to_noisy<R: rand::Rng + ?Sized>(
         &self,
@@ -1145,40 +1132,14 @@ mod tests {
     }
 
     #[test]
-    fn fuse_collapses_adjacent_same_target_runs() {
-        let mut c = Circuit::new(2);
-        c.rz(0, 0.3);
-        c.t(0);
-        c.phase(0, -0.2); // one diagonal run of 3
-        c.h(1); // different target: new run
-        c.h(1); // fuses with the previous H
-        c.cx(0, 1); // controlled: never fused
-        c.x(0);
-        let plan = c.compile(OptLevel::Fuse);
-        assert!(plan.ops().len() < c.len());
-        assert_eq!(plan.ops()[0].source_range(), 0..3);
-        // A fused all-diagonal run lowers to the diagonal kernel.
-        assert_eq!(plan.ops()[0].kernel_class(), KernelClass::Diagonal);
-        // Fused runs drop Clifford classification (the H·H run would be
-        // Clifford mathematically, but fusion is matrix-level).
-        assert!(!plan.is_clifford());
-        // Fusion is only approximately equal to the reference.
-        let mut fused = State::zero(2);
-        plan.apply_to(&mut fused);
-        let mut reference = State::zero(2);
-        c.apply_to(&mut reference);
-        assert!(fused.approx_eq(&reference, 1e-12));
-    }
-
-    #[test]
     fn cuts_stop_fusion_at_boundaries() {
         let mut c = Circuit::new(1);
-        c.rz(0, 0.3);
-        c.t(0);
-        c.rz(0, 0.5);
-        c.t(0);
+        c.x(0);
+        c.z(0);
+        c.s(0);
+        c.y(0);
         // A cut at 2 splits what would otherwise be a single run of 4.
-        let plan = CompiledCircuit::compile_with_cuts(&c, OptLevel::Fuse, &[2]);
+        let plan = CompiledCircuit::compile_with_cuts(&c, OptLevel::FuseExact, &[2]);
         assert_eq!(plan.ops().len(), 2);
         assert_eq!(plan.ops()[0].source_range(), 0..2);
         assert_eq!(plan.ops()[1].source_range(), 2..4);
@@ -1195,9 +1156,9 @@ mod tests {
     #[should_panic(expected = "splits fused op")]
     fn range_through_fused_op_panics() {
         let mut c = Circuit::new(1);
-        c.rz(0, 0.3);
-        c.t(0);
-        let plan = c.compile(OptLevel::Fuse);
+        c.x(0);
+        c.s(0);
+        let plan = c.compile(OptLevel::FuseExact);
         let mut s = State::zero(1);
         plan.apply_range_to(&mut s, 0..1);
     }
@@ -1206,9 +1167,9 @@ mod tests {
     #[should_panic(expected = "requires an unfused plan")]
     fn fused_noisy_replay_panics() {
         let mut c = Circuit::new(1);
-        c.rz(0, 0.3);
-        c.t(0);
-        let plan = c.compile(OptLevel::Fuse);
+        c.x(0);
+        c.s(0);
+        let plan = c.compile(OptLevel::FuseExact);
         let mut s = State::zero(1);
         let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(1);
         plan.apply_to_noisy(&mut s, &qdb_sim::NoiseModel::depolarizing(0.1), &mut rng);
@@ -1363,7 +1324,7 @@ mod tests {
 
     #[test]
     fn empty_circuit_compiles_to_empty_plan() {
-        let plan = Circuit::new(2).compile(OptLevel::Fuse);
+        let plan = Circuit::new(2).compile(OptLevel::FuseExact);
         assert_eq!(plan.ops().len(), 0);
         assert_eq!(plan.source_len(), 0);
         // An empty plan is vacuously Clifford.
@@ -1391,7 +1352,7 @@ mod tests {
         assert_eq!(plan.ops()[1].source_range(), 3..4);
         assert_eq!(plan.ops()[2].source_range(), 4..5);
         assert_eq!(plan.ops()[3].source_range(), 5..7);
-        // Unlike OptLevel::Fuse, results keep the bit-for-bit guarantee.
+        // Fusion keeps the bit-for-bit guarantee.
         let mut fused = State::zero(2);
         plan.apply_to(&mut fused);
         let mut reference = State::zero(2);
@@ -1408,7 +1369,7 @@ mod tests {
         // remains stabilizer-eligible.
         let plan = clifford_circuit().compile(OptLevel::FuseExact);
         assert!(plan.is_clifford());
-        // A genuinely fused run drops it (matrix-level, like Fuse).
+        // A genuinely fused run drops it (fusion is matrix-level).
         let mut c = Circuit::new(1);
         c.x(0);
         c.z(0);

@@ -30,16 +30,8 @@ use crate::program::Program;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct PlanKey {
     fingerprint: u64,
-    opt: u8,
+    opt: OptLevel,
     with_cuts: bool,
-}
-
-fn opt_code(opt: OptLevel) -> u8 {
-    match opt {
-        OptLevel::Specialize => 0,
-        OptLevel::Fuse => 1,
-        OptLevel::FuseExact => 2,
-    }
 }
 
 /// One cache slot, stamped with its last-touch tick for LRU eviction.
@@ -88,7 +80,7 @@ impl PlanCache {
     pub fn plan_for_program(&self, program: &Program, opt: OptLevel) -> Arc<CompiledCircuit> {
         let key = PlanKey {
             fingerprint: program.fingerprint(),
-            opt: opt_code(opt),
+            opt,
             with_cuts: true,
         };
         self.get_or_insert(key, || program.compile(opt))
@@ -101,7 +93,7 @@ impl PlanCache {
     pub fn plan_for_circuit(&self, circuit: &Circuit, opt: OptLevel) -> Arc<CompiledCircuit> {
         let key = PlanKey {
             fingerprint: circuit.fingerprint(),
-            opt: opt_code(opt),
+            opt,
             with_cuts: false,
         };
         self.get_or_insert(key, || CompiledCircuit::compile(circuit, opt))

@@ -243,7 +243,9 @@ fn parse_statement(
             let close = head
                 .rfind(')')
                 .ok_or_else(|| err(format!("unclosed parameter list in `{head}`")))?;
-            let params: Result<Vec<f64>, String> = head[open + 1..close]
+            let params: Result<Vec<f64>, String> = head
+                .get(open + 1..close)
+                .ok_or_else(|| err(format!("mismatched parentheses in `{head}`")))?
                 .split(',')
                 .map(|p| eval_expr(p.trim()))
                 .collect();
@@ -257,6 +259,11 @@ fn parse_statement(
         .map(|a| resolve_qubit(a.trim(), registers, line))
         .collect();
     let qubits = qubits?;
+    for (i, q) in qubits.iter().enumerate() {
+        if qubits[..i].contains(q) {
+            return Err(err(format!("`{name}` uses qubit {q} twice")));
+        }
+    }
 
     let want = |n: usize, p: usize| -> Result<(), CircuitError> {
         if qubits.len() != n {
@@ -382,10 +389,10 @@ fn parse_decl(rest: &str) -> Result<(String, usize), String> {
     if name.is_empty() {
         return Err(format!("empty register name in `{rest}`"));
     }
-    let width: usize = rest[open + 1..close]
-        .trim()
-        .parse()
-        .map_err(|_| format!("bad width in `{rest}`"))?;
+    let width: usize = rest
+        .get(open + 1..close)
+        .and_then(|w| w.trim().parse().ok())
+        .ok_or_else(|| format!("bad width in `{rest}`"))?;
     if width == 0 {
         return Err("zero-width register".to_string());
     }
@@ -402,10 +409,10 @@ fn resolve_qubit(text: &str, registers: &[QReg], line: usize) -> Result<usize, C
         .rfind(']')
         .ok_or_else(|| err(format!("unclosed bracket in `{text}`")))?;
     let name = text[..open].trim();
-    let idx: usize = text[open + 1..close]
-        .trim()
-        .parse()
-        .map_err(|_| err(format!("bad qubit index in `{text}`")))?;
+    let idx: usize = text
+        .get(open + 1..close)
+        .and_then(|i| i.trim().parse().ok())
+        .ok_or_else(|| err(format!("bad qubit index in `{text}`")))?;
     let reg = registers
         .iter()
         .find(|r| r.name() == name)
@@ -471,6 +478,9 @@ pub(crate) fn eval_expr(text: &str) -> Result<f64, String> {
         }
     }
     flush(&mut value, pending_op, &token, &mut first)?;
+    if !value.is_finite() {
+        return Err(format!("`{text}` is not a finite number"));
+    }
     Ok(if negate { -value } else { value })
 }
 
@@ -602,6 +612,40 @@ mod tests {
     fn parse_rejects_duplicate_register() {
         let text = "qreg q[1];\nqreg q[2];\n";
         assert!(matches!(from_qasm(text), Err(CircuitError::BadRegister(_))));
+    }
+
+    /// `text` must fail with a parse error on its second line.
+    fn assert_parse_error_on_line_2(text: &str) {
+        match from_qasm(text) {
+            Err(CircuitError::Parse { line: 2, .. }) => {}
+            other => panic!("{text:?}: expected a line-2 parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn reversed_declaration_brackets_are_a_parse_error() {
+        assert_parse_error_on_line_2("qreg q[1];\nqreg a]x[2;");
+    }
+
+    #[test]
+    fn reversed_parameter_parentheses_are_a_parse_error() {
+        assert_parse_error_on_line_2("qreg q[1];\nrx)1(( q[0];");
+    }
+
+    #[test]
+    fn reversed_index_brackets_are_a_parse_error() {
+        assert_parse_error_on_line_2("qreg q[1];\nh q]0[;");
+    }
+
+    #[test]
+    fn repeated_gate_operand_is_a_parse_error() {
+        assert_parse_error_on_line_2("qreg q[2];\ncx q[0],q[0];");
+    }
+
+    #[test]
+    fn non_finite_angle_is_a_parse_error() {
+        assert_parse_error_on_line_2("qreg q[1];\nrx(1e999) q[0];");
+        assert_parse_error_on_line_2("qreg q[1];\nrx(nan) q[0];");
     }
 
     #[test]

@@ -100,10 +100,10 @@ fn parse_statement(stmt: &str, line: usize, program: &mut Program) -> Result<(),
             if name.is_empty() || !name.chars().all(|c| c.is_alphanumeric() || c == '_') {
                 return Err(err(line, format!("bad register name in `{stmt}`")));
             }
-            let width: usize = rest[open + 1..close]
-                .trim()
-                .parse()
-                .map_err(|_| err(line, format!("bad width in `{stmt}`")))?;
+            let width: usize = rest
+                .get(open + 1..close)
+                .and_then(|w| w.trim().parse().ok())
+                .ok_or_else(|| err(line, format!("bad width in `{stmt}`")))?;
             if width == 0 {
                 return Err(err(line, "zero-width register"));
             }
@@ -125,7 +125,10 @@ fn parse_statement(stmt: &str, line: usize, program: &mut Program) -> Result<(),
         .rfind(')')
         .ok_or_else(|| err(line, format!("unclosed call in `{stmt}`")))?;
     let name = stmt[..open].trim();
-    let args = parse_args(&stmt[open + 1..close], line)?;
+    let args = stmt
+        .get(open + 1..close)
+        .ok_or_else(|| err(line, format!("mismatched parentheses in `{stmt}`")))?;
+    let args = parse_args(args, line)?;
     dispatch(name, &args, line, program)
 }
 
@@ -142,10 +145,10 @@ fn parse_args(text: &str, line: usize) -> Result<Vec<Arg>, CircuitError> {
                     .rfind(']')
                     .ok_or_else(|| err(line, format!("unclosed index in `{raw}`")))?;
                 let name = raw[..open].trim().to_string();
-                let idx: usize = raw[open + 1..close]
-                    .trim()
-                    .parse()
-                    .map_err(|_| err(line, format!("bad qubit index in `{raw}`")))?;
+                let idx: usize = raw
+                    .get(open + 1..close)
+                    .and_then(|i| i.trim().parse().ok())
+                    .ok_or_else(|| err(line, format!("bad qubit index in `{raw}`")))?;
                 return Ok(Arg::Qubit(name, idx));
             }
             let is_identifier = raw
@@ -191,6 +194,24 @@ fn qubit(arg: &Arg, program: &Program, line: usize) -> Result<usize, CircuitErro
         }
         Arg::Num(_) => Err(err(line, "expected a qubit, found a number")),
     }
+}
+
+/// Resolve every argument to a qubit, rejecting a qubit named twice
+/// (one gate cannot act on the same qubit as two operands).
+fn distinct_qubits(
+    args: &[Arg],
+    program: &Program,
+    line: usize,
+) -> Result<Vec<usize>, CircuitError> {
+    let mut qubits = Vec::with_capacity(args.len());
+    for arg in args {
+        let q = qubit(arg, program, line)?;
+        if qubits.contains(&q) {
+            return Err(err(line, format!("qubit {q} used twice in one gate")));
+        }
+        qubits.push(q);
+    }
+    Ok(qubits)
 }
 
 /// Resolve a register argument, optionally validating a width argument
@@ -309,50 +330,40 @@ fn dispatch(
         }
         "CNOT" | "CX" => {
             arity(2)?;
-            let c = qubit(&args[0], program, line)?;
-            let t = qubit(&args[1], program, line)?;
-            program.cx(c, t);
+            let q = distinct_qubits(args, program, line)?;
+            program.cx(q[0], q[1]);
         }
         "cZ" | "CZ" => {
             arity(2)?;
-            let c = qubit(&args[0], program, line)?;
-            let t = qubit(&args[1], program, line)?;
-            program.cz(c, t);
+            let q = distinct_qubits(args, program, line)?;
+            program.cz(q[0], q[1]);
         }
         "Toffoli" | "CCNOT" => {
             arity(3)?;
-            let c0 = qubit(&args[0], program, line)?;
-            let c1 = qubit(&args[1], program, line)?;
-            let t = qubit(&args[2], program, line)?;
-            program.ccx(c0, c1, t);
+            let q = distinct_qubits(args, program, line)?;
+            program.ccx(q[0], q[1], q[2]);
         }
         "cRz" => {
             arity(3)?;
-            let c = qubit(&args[0], program, line)?;
-            let t = qubit(&args[1], program, line)?;
+            let q = distinct_qubits(&args[..2], program, line)?;
             let theta = number(&args[2], line)?;
-            program.cphase(c, t, theta);
+            program.cphase(q[0], q[1], theta);
         }
         "ccRz" => {
             arity(4)?;
-            let c0 = qubit(&args[0], program, line)?;
-            let c1 = qubit(&args[1], program, line)?;
-            let t = qubit(&args[2], program, line)?;
+            let q = distinct_qubits(&args[..3], program, line)?;
             let theta = number(&args[3], line)?;
-            program.ccphase(c0, c1, t, theta);
+            program.ccphase(q[0], q[1], q[2], theta);
         }
         "Swap" | "SWAP" => {
             arity(2)?;
-            let a = qubit(&args[0], program, line)?;
-            let b = qubit(&args[1], program, line)?;
-            program.swap(a, b);
+            let q = distinct_qubits(args, program, line)?;
+            program.swap(q[0], q[1]);
         }
         "cSwap" | "Fredkin" => {
             arity(3)?;
-            let c = qubit(&args[0], program, line)?;
-            let a = qubit(&args[1], program, line)?;
-            let b = qubit(&args[2], program, line)?;
-            program.cswap(c, a, b);
+            let q = distinct_qubits(args, program, line)?;
+            program.cswap(q[0], q[1], q[2]);
         }
         "MeasZ" => {
             arity(1)?;
@@ -409,6 +420,9 @@ fn dispatch(
                 }
                 n => return Err(err(line, format!("`{name}` takes 2 or 4 args, got {n}"))),
             };
+            if !a.disjoint_from(&b) {
+                return Err(err(line, format!("`{name}` registers {a} and {b} overlap")));
+            }
             if name == "assert_entangled" {
                 program.assert_entangled(&a, &b);
             } else {
@@ -557,5 +571,42 @@ mod tests {
         let src = "\n// header\nqbit q[1]; // decl\n\nX(q[0]); // flip\n";
         let p = parse_scaffold(src).unwrap();
         assert_eq!(p.circuit().len(), 1);
+    }
+    /// `src` must fail with a parse error on its second line.
+    fn assert_parse_error_on_line_2(src: &str) {
+        match parse_scaffold(src) {
+            Err(CircuitError::Parse { line: 2, .. }) => {}
+            other => panic!("{src:?}: expected a line-2 parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn reversed_call_parentheses_are_a_parse_error() {
+        assert_parse_error_on_line_2("qbit q[1];\nH)q[0](;");
+    }
+
+    #[test]
+    fn reversed_index_brackets_are_a_parse_error() {
+        assert_parse_error_on_line_2("qbit q[1];\nH(q]0[);");
+    }
+
+    #[test]
+    fn reversed_declaration_brackets_are_a_parse_error() {
+        assert_parse_error_on_line_2("qbit q[1];\nqbit a]x[2;");
+    }
+
+    #[test]
+    fn repeated_gate_operand_is_a_parse_error() {
+        assert_parse_error_on_line_2("qbit q[2];\nCNOT(q[0],q[0]);");
+    }
+
+    #[test]
+    fn non_finite_angle_is_a_parse_error() {
+        assert_parse_error_on_line_2("qbit q[1];\nRz(q[0], 1e999);");
+    }
+
+    #[test]
+    fn overlapping_assertion_registers_are_a_parse_error() {
+        assert_parse_error_on_line_2("qbit q[2];\nassert_entangled(q, q);");
     }
 }

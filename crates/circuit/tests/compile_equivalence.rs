@@ -5,8 +5,8 @@
 //! `==`, every probability bit-identical, the same `gate_ops`
 //! accounting, and identical noisy trajectories), while doing no more —
 //! and on controlled/swap-heavy circuits strictly less — index work.
-//! `OptLevel::Fuse` is held to its weaker, explicitly opt-in promise:
-//! approximate equality with fewer ops.
+//! `OptLevel::FuseExact` is held to the same value-identity with no
+//! more ops than instructions.
 
 use proptest::prelude::*;
 use qdb_circuit::{Circuit, CompiledCircuit, GateSink, OptLevel};
@@ -165,12 +165,12 @@ proptest! {
     }
 
     #[test]
-    fn fused_plan_is_approximately_equal_with_fewer_ops(
+    fn exactly_fused_plan_is_value_identical_with_fewer_ops(
         num_qubits in 1..5usize,
         gates in gate_strategy(),
     ) {
         let c = build_circuit(num_qubits, &gates);
-        let plan = c.compile(OptLevel::Fuse);
+        let plan = c.compile(OptLevel::FuseExact);
         prop_assert!(plan.ops().len() <= c.len());
         // Ops tile the instruction list exactly.
         let mut expected_start = 0usize;
@@ -184,10 +184,10 @@ proptest! {
         plan.apply_to(&mut fused);
         let mut reference = State::zero(num_qubits.max(1));
         c.apply_to(&mut reference);
-        prop_assert!(
-            fused.approx_eq(&reference, 1e-9),
-            "fused plan diverged beyond tolerance"
-        );
+        prop_assert_eq!(&fused, &reference);
+        for (p, q) in fused.probabilities().iter().zip(&reference.probabilities()) {
+            prop_assert_eq!(p.to_bits(), q.to_bits());
+        }
     }
 }
 

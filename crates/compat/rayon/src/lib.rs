@@ -3,8 +3,7 @@
 //! The build environment is hermetic, so this crate supplies the
 //! parallel-iterator surface `qdb-core` uses: `into_par_iter()` /
 //! `par_iter()` over ranges and slices, `map`, `for_each`, and
-//! `collect` into `Vec<T>` or `Result<Vec<T>, E>`, plus [`join`] and
-//! the chunked [`dispatch_chunks`].
+//! `collect` into `Vec<T>` or `Result<Vec<T>, E>`, plus [`join`].
 //!
 //! Every entry point runs through one work-claiming loop: the caller
 //! and up to [`current_num_threads`] `- 1` helper threads (spawned on a
@@ -196,32 +195,6 @@ fn take_once<F>(side: &Mutex<Option<F>>) -> F {
         .unwrap_or_else(PoisonError::into_inner)
         .take()
         .expect("each join side is claimed once")
-}
-
-/// Partition `0..len` into at most [`current_num_threads`] contiguous
-/// chunks and run `body` once per chunk (concurrently when more than
-/// one worker is available), returning the number of chunks dispatched.
-///
-/// This is the disjoint-slice dispatch surface the amplitude-parallel
-/// kernels chunk their run space over: every index appears in exactly
-/// one chunk, chunks are maximal contiguous ranges of `len.div_ceil(w)`
-/// indices in ascending order (`w` the worker count), and the chunk
-/// *boundaries* are the only thing that varies with the worker count.
-/// Which thread runs a chunk is decided by the claim loop and never
-/// changes a boundary — callers whose per-index work is self-contained
-/// are therefore bit-identical across thread counts by construction.
-/// An empty `len` dispatches nothing and returns 0; a panicking chunk
-/// propagates to the caller after every claimed chunk has finished.
-pub fn dispatch_chunks<F: Fn(Range<usize>) + Sync>(len: usize, body: F) -> usize {
-    if len == 0 {
-        return 0;
-    }
-    let chunk = len.div_ceil(current_num_threads().min(len));
-    let chunks = len.div_ceil(chunk);
-    claim(chunks, chunks, |c| {
-        body(c * chunk..((c + 1) * chunk).min(len))
-    });
-    chunks
 }
 
 /// The subset of rayon's `ParallelIterator` used by this workspace.
@@ -464,52 +437,6 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_chunks_covers_every_index_exactly_once() {
-        for threads in WORKER_COUNTS {
-            let hits = Mutex::new(vec![0u32; 1000]);
-            let chunks = with_threads(threads, || {
-                super::dispatch_chunks(1000, |range| {
-                    let mut hits = hits.lock().unwrap();
-                    for i in range {
-                        hits[i] += 1;
-                    }
-                })
-            });
-            let hits = hits.into_inner().unwrap();
-            assert!(hits.iter().all(|&h| h == 1), "threads={threads}");
-            assert!(chunks >= 1 && chunks <= threads, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn dispatch_chunks_keeps_fixed_boundaries() {
-        // Boundaries depend on the worker count alone, never on which
-        // thread claims which chunk.
-        for threads in WORKER_COUNTS {
-            let chunk = 1000usize.div_ceil(threads);
-            let seen = Mutex::new(Vec::new());
-            with_threads(threads, || {
-                super::dispatch_chunks(1000, |range| seen.lock().unwrap().push(range))
-            });
-            let mut seen = seen.into_inner().unwrap();
-            seen.sort_by_key(|range| range.start);
-            let expected: Vec<_> = (0..1000)
-                .step_by(chunk)
-                .map(|start| start..(start + chunk).min(1000))
-                .collect();
-            assert_eq!(seen, expected, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn dispatch_chunks_handles_empty_and_tiny_lengths() {
-        let chunks = super::dispatch_chunks(0, |_| panic!("no chunks expected"));
-        assert_eq!(chunks, 0);
-        let chunks = super::dispatch_chunks(1, |range| assert_eq!(range, 0..1));
-        assert_eq!(chunks, 1);
-    }
-
-    #[test]
     fn thread_count_env_var_is_honored() {
         // Serial fallback path (threads == 1) must agree with parallel.
         let serial: Vec<usize> = with_threads(1, || {
@@ -563,21 +490,17 @@ mod tests {
             });
             assert_eq!(sums, (0..6).map(|i| i * 45).collect::<Vec<_>>());
 
-            let joined = Mutex::new(Vec::new());
-            with_threads(threads, || {
-                super::dispatch_chunks(12, |range| {
-                    let (lo, hi) = super::join(|| range.start, || range.end);
-                    joined.lock().unwrap().push(lo..hi);
-                })
+            let joined: Vec<(usize, usize)> = with_threads(threads, || {
+                (0..12)
+                    .into_par_iter()
+                    .map(|i| super::join(|| i, || i + 1))
+                    .collect()
             });
-            let mut joined = joined.into_inner().unwrap();
-            joined.sort_by_key(|range| range.start);
             assert_eq!(
-                joined.first().map(|r| r.start),
-                Some(0),
+                joined,
+                (0..12).map(|i| (i, i + 1)).collect::<Vec<_>>(),
                 "threads={threads}"
             );
-            assert_eq!(joined.last().map(|r| r.end), Some(12), "threads={threads}");
         }
     }
 

@@ -58,8 +58,7 @@ pub use error::CoreError;
 pub use governor::{CancelToken, InterruptCause, RunBudget};
 pub use report::{AssertionReport, PartialReport, TestKind, Verdict};
 pub use runner::{
-    BackendChoice, EnsembleConfig, EnsembleConfigBuilder, EnsembleRunner, ExecutionStrategy,
-    MeasuredEnsemble, ParallelAxis,
+    BackendChoice, EnsembleConfig, EnsembleRunner, ExecutionStrategy, MeasuredEnsemble,
 };
 pub use sweep::SweepRunner;
 pub use trajectory::{NoisySessionStats, TrajectoryStats};

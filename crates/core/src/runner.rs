@@ -139,40 +139,6 @@ pub enum BackendChoice {
     Sparse,
 }
 
-/// Which axis of an ensemble run fans out across rayon workers when
-/// [`EnsembleConfig::parallel`] is on.
-///
-/// The engines never nest parallelism: a run picks exactly one axis and
-/// everything inside a unit of that axis stays serial. Per-shot /
-/// per-trajectory fan-out amortizes best when there are many small
-/// units; amplitude-level chunking inside one state
-/// ([`qdb_sim::kernels`]) amortizes best when states are huge and units
-/// are few. Every choice is bit-identical to every other — the axis
-/// moves work between threads, never between operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ParallelAxis {
-    /// Pick per state size: shots/breakpoints/trajectories fan out as
-    /// today, and states of at least
-    /// [`qdb_sim::kernels::INTRA_PAR_MIN_QUBITS`] qubits additionally
-    /// enable amplitude-parallel kernels *wherever the shot axis is not
-    /// already saturating the cores* (the ideal sweep's single walked
-    /// state, serial fallbacks). The default.
-    #[default]
-    Auto,
-    /// Only fan out across shots, trajectories, and breakpoints; every
-    /// individual state applies its gates serially regardless of size.
-    PerShot,
-    /// Only chunk amplitude work inside each state (subject to the
-    /// kernel size threshold); shots, trajectories, and breakpoints run
-    /// serially. The right axis for few huge states.
-    IntraState,
-    /// Both: shot-level fan-out where it exists, amplitude-parallel
-    /// kernels in every serial crevice (again subject to the size
-    /// threshold). Like [`ParallelAxis::Auto`] but with no size-based
-    /// second-guessing.
-    Hybrid,
-}
-
 /// `Err(BadConfig)` unless the rate `p` lies in `[0, 1]` (NaN never
 /// does).
 fn check_rate(what: &str, p: f64) -> Result<(), CoreError> {
@@ -185,9 +151,25 @@ fn check_rate(what: &str, p: f64) -> Result<(), CoreError> {
 
 /// Configuration for ensemble runs.
 ///
-/// Construct via [`EnsembleConfig::builder`] (or `default()` plus the
-/// `with_*` methods): the struct's field list grows over time, and the
-/// builder keeps downstream code source-compatible when it does.
+/// Start from `default()` and override with the `with_*` methods; set a
+/// field that has no `with_*` method with struct-update syntax.
+///
+/// ```
+/// use qdb_core::{BackendChoice, EnsembleConfig};
+///
+/// let config = EnsembleConfig::default()
+///     .with_shots(256)
+///     .with_seed(42)
+///     .with_backend(BackendChoice::Auto);
+/// assert_eq!(config.shots, 256);
+/// assert_eq!(config.alpha, EnsembleConfig::default().alpha);
+///
+/// let loose = EnsembleConfig {
+///     exact_tol: 1e-6,
+///     ..config
+/// };
+/// assert_eq!(loose.shots, 256);
+/// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct EnsembleConfig {
     /// Measurement shots per breakpoint. The paper demonstrates
@@ -216,10 +198,6 @@ pub struct EnsembleConfig {
     /// on the calling thread (useful for benchmarking the speedup and
     /// for embedding in an outer parallel scheduler).
     pub parallel: bool,
-    /// Which axis fans out when [`parallel`](EnsembleConfig::parallel)
-    /// is on (see [`ParallelAxis`]); ignored when it is off. Reports
-    /// are bit-identical across every choice.
-    pub axis: ParallelAxis,
     /// Maximum lanes per packed suffix replay in the noisy trajectory
     /// tree: sibling trajectories forking within the same suffix window
     /// share one structure-of-arrays [`StatePack`](qdb_sim::StatePack)
@@ -236,11 +214,10 @@ pub struct EnsembleConfig {
     /// identical either way.
     pub strategy: ExecutionStrategy,
     /// How the sweep path lowers the program before executing it (see
-    /// [`OptLevel`]). The default [`OptLevel::Specialize`] keeps
-    /// reports bit-for-bit identical to the uncompiled reference;
-    /// [`OptLevel::Fuse`] additionally fuses same-target gate runs and
-    /// guarantees only approximate equality. The per-prefix strategy
-    /// ignores this field (it *is* the uncompiled reference), and noisy
+    /// [`OptLevel`]). Both levels keep reports bit-for-bit identical to
+    /// the uncompiled reference; [`OptLevel::FuseExact`] additionally
+    /// fuses unit-monomial gate runs. The per-prefix strategy ignores
+    /// this field (it *is* the uncompiled reference), and noisy
     /// trajectories always replay an unfused
     /// ([`OptLevel::Specialize`]) plan — fusion would erase the
     /// per-instruction noise insertion points.
@@ -275,7 +252,6 @@ impl Default for EnsembleConfig {
             independence: IndependenceMethod::default(),
             noise: None,
             parallel: true,
-            axis: ParallelAxis::default(),
             pack_width: 8,
             strategy: ExecutionStrategy::default(),
             opt: OptLevel::default(),
@@ -285,143 +261,7 @@ impl Default for EnsembleConfig {
     }
 }
 
-/// Incremental constructor for [`EnsembleConfig`].
-///
-/// Every field of the config keeps its default until overridden, so
-/// downstream code written against the builder does not break when a
-/// new field is added to the struct.
-///
-/// ```
-/// use qdb_core::{BackendChoice, EnsembleConfig};
-///
-/// let config = EnsembleConfig::builder()
-///     .shots(256)
-///     .seed(42)
-///     .backend(BackendChoice::Auto)
-///     .build();
-/// assert_eq!(config.shots, 256);
-/// assert_eq!(config.alpha, EnsembleConfig::default().alpha);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct EnsembleConfigBuilder {
-    config: EnsembleConfig,
-}
-
-impl EnsembleConfigBuilder {
-    /// Measurement shots per breakpoint.
-    #[must_use]
-    pub fn shots(mut self, shots: usize) -> Self {
-        self.config.shots = shots;
-        self
-    }
-
-    /// Significance level for rejecting null hypotheses.
-    #[must_use]
-    pub fn alpha(mut self, alpha: f64) -> Self {
-        self.config.alpha = alpha;
-        self
-    }
-
-    /// RNG seed.
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
-    /// Whether to also compute the exact amplitude-based verdict.
-    #[must_use]
-    pub fn exact_cross_check(mut self, enabled: bool) -> Self {
-        self.config.exact_cross_check = enabled;
-        self
-    }
-
-    /// Tolerance for exact verdicts.
-    #[must_use]
-    pub fn exact_tol(mut self, tol: f64) -> Self {
-        self.config.exact_tol = tol;
-        self
-    }
-
-    /// Which independence test decides entanglement/product assertions.
-    #[must_use]
-    pub fn independence(mut self, method: IndependenceMethod) -> Self {
-        self.config.independence = method;
-        self
-    }
-
-    /// Hardware noise model (a noiseless model normalizes to `None`).
-    #[must_use]
-    pub fn noise(mut self, noise: NoiseModel) -> Self {
-        self.config = self.config.with_noise(noise);
-        self
-    }
-
-    /// Run the hot loops on all cores.
-    #[must_use]
-    pub fn parallel(mut self, parallel: bool) -> Self {
-        self.config.parallel = parallel;
-        self
-    }
-
-    /// Set the parallel axis (see [`EnsembleConfig::axis`]).
-    #[must_use]
-    pub fn parallel_axis(mut self, axis: ParallelAxis) -> Self {
-        self.config.axis = axis;
-        self
-    }
-
-    /// Set the packed-replay width (see [`EnsembleConfig::pack_width`]).
-    #[must_use]
-    pub fn pack_width(mut self, width: usize) -> Self {
-        self.config.pack_width = width;
-        self
-    }
-
-    /// How ideal-mode ensembles are produced.
-    #[must_use]
-    pub fn strategy(mut self, strategy: ExecutionStrategy) -> Self {
-        self.config.strategy = strategy;
-        self
-    }
-
-    /// How the sweep path lowers the program.
-    #[must_use]
-    pub fn opt_level(mut self, opt: OptLevel) -> Self {
-        self.config.opt = opt;
-        self
-    }
-
-    /// Which simulation engine runs the session.
-    #[must_use]
-    pub fn backend(mut self, backend: BackendChoice) -> Self {
-        self.config.backend = backend;
-        self
-    }
-
-    /// Resource budget for the session (deadline, memory ceiling,
-    /// cancellation).
-    #[must_use]
-    pub fn budget(mut self, budget: RunBudget) -> Self {
-        self.config.budget = budget;
-        self
-    }
-
-    /// Finish, yielding the configuration.
-    #[must_use]
-    pub fn build(self) -> EnsembleConfig {
-        self.config
-    }
-}
-
 impl EnsembleConfig {
-    /// Start building a configuration from the defaults (see
-    /// [`EnsembleConfigBuilder`]).
-    #[must_use]
-    pub fn builder() -> EnsembleConfigBuilder {
-        EnsembleConfigBuilder::default()
-    }
-
     /// The paper's smallest reported ensemble size (16 shots), e.g. for
     /// the Listing 4 p-values.
     #[must_use]
@@ -535,16 +375,6 @@ impl EnsembleConfig {
         }
     }
 
-    /// Builder-style parallel-axis override (see
-    /// [`EnsembleConfig::axis`]).
-    #[must_use]
-    pub fn with_parallel_axis(&self, axis: ParallelAxis) -> Self {
-        Self {
-            axis,
-            ..self.clone()
-        }
-    }
-
     /// Builder-style packed-replay-width override (see
     /// [`EnsembleConfig::pack_width`]).
     #[must_use]
@@ -565,6 +395,12 @@ impl EnsembleConfig {
                 self.alpha
             )));
         }
+        if !(self.exact_tol >= 0.0 && self.exact_tol.is_finite()) {
+            return Err(CoreError::BadConfig(format!(
+                "exact_tol {} must be finite and non-negative",
+                self.exact_tol
+            )));
+        }
         if self.pack_width == 0 {
             return Err(CoreError::BadConfig(
                 "pack_width must be at least 1 (1 disables packing)".into(),
@@ -582,28 +418,6 @@ impl EnsembleConfig {
             check_rate("readout rate p10", noise.readout.p10)?;
         }
         Ok(())
-    }
-
-    /// `true` when shots, trajectories, and breakpoints fan out across
-    /// workers — [`parallel`](EnsembleConfig::parallel) is on and the
-    /// axis is not [`ParallelAxis::IntraState`].
-    pub(crate) fn shot_parallel(&self) -> bool {
-        self.parallel && self.axis != ParallelAxis::IntraState
-    }
-
-    /// `true` when a state of `num_qubits` qubits should chunk its
-    /// amplitude work across workers (before the no-nesting adjustment
-    /// its owner applies — a state inside a parallel shot fan-out
-    /// always stays serial).
-    pub(crate) fn intra_state(&self, num_qubits: usize) -> bool {
-        if !self.parallel {
-            return false;
-        }
-        match self.axis {
-            ParallelAxis::PerShot => false,
-            ParallelAxis::IntraState | ParallelAxis::Hybrid => true,
-            ParallelAxis::Auto => num_qubits >= qdb_sim::kernels::INTRA_PAR_MIN_QUBITS,
-        }
     }
 }
 
@@ -741,11 +555,6 @@ impl EnsembleRunner {
             }
             Err(e) => return Err(CoreError::Circuit(qdb_circuit::CircuitError::Sim(e))),
         };
-        // The prefix replay may chunk amplitude work only when this
-        // breakpoint is not itself one unit of a breakpoint fan-out.
-        ideal_state.set_intra_parallel(
-            self.config.intra_state(ideal_state.num_qubits()) && !self.config.shot_parallel(),
-        );
         prefix.apply_to(&mut ideal_state);
         let ideal_state = ideal_state;
         let outcomes = match self.config.noise {
@@ -794,11 +603,6 @@ impl EnsembleRunner {
                                 }
                                 Err(e) => return Err(CoreError::Sim(e)),
                             };
-                            // One axis only: amplitude chunking stays
-                            // off while shots own the workers.
-                            state.set_intra_parallel(
-                                self.config.intra_state(n) && !self.config.shot_parallel(),
-                            );
                             governor.poll(&state).map_err(governor::trip_error)?;
                             let mut rng = StdRng::seed_from_u64(shot_seed(
                                 self.config.seed,
@@ -814,7 +618,7 @@ impl EnsembleRunner {
                         })
                         .unwrap_or_else(|cause| Err(governor::trip_error(cause)))
                 };
-                if self.config.shot_parallel() {
+                if self.config.parallel {
                     (0..self.config.shots)
                         .into_par_iter()
                         .map(trajectory)
@@ -889,7 +693,7 @@ impl EnsembleRunner {
                 .map_err(|e| finalize_interrupt(program, e));
         }
         let run_one = |index: usize| self.run_breakpoint_with_plan(program, index, None, &governor);
-        let ensembles: Result<Vec<_>, CoreError> = if self.config.shot_parallel() {
+        let ensembles: Result<Vec<_>, CoreError> = if self.config.parallel {
             (0..count).into_par_iter().map(run_one).collect()
         } else {
             (0..count).map(run_one).collect()
@@ -1440,7 +1244,7 @@ impl EnsembleRunner {
                 })
                 .unwrap_or_else(|cause| Err(governor::trip_error(cause)))
         };
-        let attempts: Vec<Result<AssertionReport, CoreError>> = if self.config.shot_parallel() {
+        let attempts: Vec<Result<AssertionReport, CoreError>> = if self.config.parallel {
             (0..count).into_par_iter().map(check_one).collect()
         } else {
             (0..count).map(check_one).collect()
@@ -1742,10 +1546,6 @@ impl EnsembleRunner {
                                     )))
                                 }
                             };
-                            trajectory.set_intra_parallel(
-                                self.config.intra_state(trajectory.num_qubits())
-                                    && !self.config.shot_parallel(),
-                            );
                             governor.poll(&trajectory).map_err(governor::trip_error)?;
                             plan.apply_range_to_noisy_backend(
                                 &mut trajectory,
@@ -1760,7 +1560,7 @@ impl EnsembleRunner {
                 })
                 .unwrap_or_else(|cause| Err(governor::trip_error(cause)))
         };
-        if self.config.shot_parallel() {
+        if self.config.parallel {
             (0..self.config.shots)
                 .into_par_iter()
                 .map(one_shot)
@@ -1938,6 +1738,50 @@ mod tests {
     #[test]
     fn nan_readout_rate_is_rejected() {
         assert_bad_noise(NoiseModel::readout_only(f64::NAN));
+    }
+
+    /// `validate` must reject `exact_tol` with a typed `BadConfig`, and
+    /// so must a session run under it.
+    fn assert_bad_exact_tol(exact_tol: f64) {
+        let config = EnsembleConfig {
+            exact_tol,
+            ..EnsembleConfig::default()
+        };
+        assert!(
+            matches!(config.validate(), Err(CoreError::BadConfig(_))),
+            "exact_tol {exact_tol} passed validation"
+        );
+        let (mut p, m0, m1) = bell_program();
+        p.assert_entangled(&m0, &m1);
+        let result = EnsembleRunner::new(config).check_program(&p);
+        assert!(
+            matches!(result, Err(CoreError::BadConfig(_))),
+            "exact_tol {exact_tol} ran to {result:?}"
+        );
+    }
+
+    #[test]
+    fn nan_exact_tol_is_rejected() {
+        assert_bad_exact_tol(f64::NAN);
+    }
+
+    #[test]
+    fn infinite_exact_tol_is_rejected() {
+        assert_bad_exact_tol(f64::INFINITY);
+    }
+
+    #[test]
+    fn negative_exact_tol_is_rejected() {
+        assert_bad_exact_tol(-1e-9);
+    }
+
+    #[test]
+    fn zero_exact_tol_is_accepted() {
+        let config = EnsembleConfig {
+            exact_tol: 0.0,
+            ..EnsembleConfig::default()
+        };
+        assert!(config.validate().is_ok());
     }
 
     #[test]
@@ -2215,32 +2059,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_sweep_reaches_the_same_verdicts() {
-        let mut p = Program::new();
-        let r = p.alloc_register("r", 3);
-        p.prep_int(&r, 5);
-        p.assert_classical(&r, 5);
-        for i in 0..3 {
-            p.h(r.bit(i));
-            p.t(r.bit(i));
-            p.rz(r.bit(i), 0.3);
-        }
-        p.assert_superposition(&r);
-        let base = EnsembleConfig::default().with_shots(128).with_seed(17);
-        let exact = EnsembleRunner::new(base.clone()).check_program(&p).unwrap();
-        let fused = EnsembleRunner::new(base.with_opt_level(qdb_circuit::OptLevel::Fuse))
-            .check_program(&p)
-            .unwrap();
-        assert_eq!(exact.len(), fused.len());
-        for (e, f) in exact.iter().zip(&fused) {
-            // Fusion reassociates floats, so only the decisions are
-            // guaranteed — not the bit patterns.
-            assert_eq!(e.verdict, f.verdict);
-            assert_eq!(e.exact, f.exact);
-        }
-    }
-
-    #[test]
     fn compiled_sweep_does_less_index_work_than_reference() {
         let mut p = Program::new();
         let r = p.alloc_register("r", 4);
@@ -2267,29 +2085,9 @@ mod tests {
     }
 
     #[test]
-    fn builder_matches_with_methods() {
-        let via_builder = EnsembleConfig::builder()
-            .shots(64)
-            .seed(7)
-            .alpha(0.01)
-            .parallel(false)
-            .strategy(ExecutionStrategy::PerPrefix)
-            .backend(BackendChoice::Auto)
-            .noise(qdb_sim::NoiseModel::depolarizing(0.01))
-            .build();
-        let via_with = EnsembleConfig::default()
-            .with_shots(64)
-            .with_seed(7)
-            .with_alpha(0.01)
-            .with_parallel(false)
-            .with_strategy(ExecutionStrategy::PerPrefix)
-            .with_backend(BackendChoice::Auto)
-            .with_noise(qdb_sim::NoiseModel::depolarizing(0.01));
-        assert_eq!(via_builder, via_with);
-        // A noiseless model normalizes away, exactly as with_noise does.
-        assert!(EnsembleConfig::builder()
-            .noise(qdb_sim::NoiseModel::noiseless())
-            .build()
+    fn noiseless_model_normalizes_away() {
+        assert!(EnsembleConfig::default()
+            .with_noise(qdb_sim::NoiseModel::noiseless())
             .noise
             .is_none());
     }
@@ -2298,11 +2096,10 @@ mod tests {
     fn stabilizer_backend_checks_bell_program() {
         let (mut p, m0, m1) = bell_program();
         p.assert_entangled(&m0, &m1);
-        let config = EnsembleConfig::builder()
-            .shots(256)
-            .seed(7)
-            .backend(BackendChoice::Stabilizer)
-            .build();
+        let config = EnsembleConfig::default()
+            .with_shots(256)
+            .with_seed(7)
+            .with_backend(BackendChoice::Stabilizer);
         let reports = EnsembleRunner::new(config).check_program(&p).unwrap();
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].verdict, Verdict::Pass, "{}", reports[0]);
@@ -2326,11 +2123,10 @@ mod tests {
         let a = QReg::new("a", vec![r.bit(0)]);
         let b = QReg::new("b", vec![r.bit(1)]);
         p.assert_entangled(&a, &b);
-        let config = EnsembleConfig::builder()
-            .shots(256)
-            .seed(12)
-            .backend(BackendChoice::Stabilizer)
-            .build();
+        let config = EnsembleConfig::default()
+            .with_shots(256)
+            .with_seed(12)
+            .with_backend(BackendChoice::Stabilizer);
         let reports = EnsembleRunner::new(config).check_program(&p).unwrap();
         assert_eq!(reports.len(), 3);
         for report in &reports {
@@ -2343,7 +2139,7 @@ mod tests {
     fn auto_matches_stabilizer_on_clifford_programs() {
         let (mut p, m0, m1) = bell_program();
         p.assert_entangled(&m0, &m1);
-        let base = EnsembleConfig::builder().shots(128).seed(9).build();
+        let base = EnsembleConfig::default().with_shots(128).with_seed(9);
         let auto = EnsembleRunner::new(base.with_backend(BackendChoice::Auto))
             .check_program(&p)
             .unwrap();
@@ -2363,7 +2159,7 @@ mod tests {
         let a = QReg::new("a", vec![r.bit(0)]);
         let b = QReg::new("b", vec![r.bit(1)]);
         p.assert_entangled(&a, &b);
-        let base = EnsembleConfig::builder().shots(128).seed(3).build();
+        let base = EnsembleConfig::default().with_shots(128).with_seed(3);
         let auto = EnsembleRunner::new(base.with_backend(BackendChoice::Auto))
             .check_program(&p)
             .unwrap();
@@ -2380,9 +2176,7 @@ mod tests {
         p.h(r.bit(0));
         p.t(r.bit(0));
         p.assert_superposition(&r);
-        let config = EnsembleConfig::builder()
-            .backend(BackendChoice::Stabilizer)
-            .build();
+        let config = EnsembleConfig::default().with_backend(BackendChoice::Stabilizer);
         let err = EnsembleRunner::new(config).check_program(&p).unwrap_err();
         assert!(
             matches!(
@@ -2418,9 +2212,7 @@ mod tests {
         // statevector backend must fail with a typed error naming the
         // qubit count and the ceiling — not die inside allocation.
         let (p, _, _) = wide_sparse_program(27);
-        let config = EnsembleConfig::builder()
-            .backend(BackendChoice::Statevector)
-            .build();
+        let config = EnsembleConfig::default().with_backend(BackendChoice::Statevector);
         let err = EnsembleRunner::new(config).check_program(&p).unwrap_err();
         match &err {
             CoreError::BackendUnsupported {
@@ -2447,9 +2239,7 @@ mod tests {
         p.t(q.bit(0));
         let probe = QReg::new("probe", vec![q.bit(0)]);
         p.assert_superposition(&probe);
-        let config = EnsembleConfig::builder()
-            .backend(BackendChoice::Auto)
-            .build();
+        let config = EnsembleConfig::default().with_backend(BackendChoice::Auto);
         let err = EnsembleRunner::new(config).check_program(&p).unwrap_err();
         match &err {
             CoreError::BackendUnsupported { reason, .. } => {
@@ -2463,9 +2253,7 @@ mod tests {
     #[test]
     fn explicit_sparse_rejects_past_64_qubits() {
         let (p, _, _) = wide_sparse_program(65);
-        let config = EnsembleConfig::builder()
-            .backend(BackendChoice::Sparse)
-            .build();
+        let config = EnsembleConfig::default().with_backend(BackendChoice::Sparse);
         let err = EnsembleRunner::new(config).check_program(&p).unwrap_err();
         assert!(
             matches!(
@@ -2486,7 +2274,7 @@ mod tests {
         // tier — and the session must reach the right verdicts, both
         // statistical and exact.
         let (p, _, _) = wide_sparse_program(40);
-        let base = EnsembleConfig::builder().shots(256).seed(19).build();
+        let base = EnsembleConfig::default().with_shots(256).with_seed(19);
         let auto = EnsembleRunner::new(base.with_backend(BackendChoice::Auto))
             .check_program(&p)
             .unwrap();
@@ -2516,7 +2304,7 @@ mod tests {
         let a = QReg::new("a", vec![r.bit(0)]);
         let b = QReg::new("b", vec![r.bit(1)]);
         p.assert_entangled(&a, &b);
-        let base = EnsembleConfig::builder().shots(256).seed(14).build();
+        let base = EnsembleConfig::default().with_shots(256).with_seed(14);
         let dense = EnsembleRunner::new(base.clone()).check_program(&p).unwrap();
         let sparse = EnsembleRunner::new(base.with_backend(BackendChoice::Sparse))
             .check_program(&p)
@@ -2532,12 +2320,11 @@ mod tests {
     fn sparse_sweep_and_per_prefix_reports_are_bit_identical() {
         let (p, _, _) = wide_sparse_program(32);
         for parallel in [false, true] {
-            let base = EnsembleConfig::builder()
-                .shots(200)
-                .seed(23)
-                .parallel(parallel)
-                .backend(BackendChoice::Sparse)
-                .build();
+            let base = EnsembleConfig::default()
+                .with_shots(200)
+                .with_seed(23)
+                .with_parallel(parallel)
+                .with_backend(BackendChoice::Sparse);
             let sweep = EnsembleRunner::new(base.with_strategy(ExecutionStrategy::Sweep))
                 .check_program(&p)
                 .unwrap();
@@ -2554,12 +2341,11 @@ mod tests {
         // must run on the sparse backend (every fault is a Pauli, which
         // preserves support), and low noise must not flip the verdict.
         let (p, _, _) = wide_sparse_program(30);
-        let config = EnsembleConfig::builder()
-            .shots(128)
-            .seed(31)
-            .noise(qdb_sim::NoiseModel::depolarizing(0.0005))
-            .backend(BackendChoice::Auto)
-            .build();
+        let config = EnsembleConfig::default()
+            .with_shots(128)
+            .with_seed(31)
+            .with_noise(qdb_sim::NoiseModel::depolarizing(0.0005))
+            .with_backend(BackendChoice::Auto);
         let (reports, stats) = EnsembleRunner::new(config).check_program_stats(&p).unwrap();
         assert_eq!(reports[0].verdict, Verdict::Pass, "{}", reports[0]);
         assert_eq!(reports[0].exact, Some(Verdict::Pass));
@@ -2580,12 +2366,11 @@ mod tests {
         let b = QReg::new("b", vec![r.bit(2)]);
         p.assert_entangled(&a, &b);
         for parallel in [false, true] {
-            let base = EnsembleConfig::builder()
-                .shots(200)
-                .seed(13)
-                .parallel(parallel)
-                .backend(BackendChoice::Stabilizer)
-                .build();
+            let base = EnsembleConfig::default()
+                .with_shots(200)
+                .with_seed(13)
+                .with_parallel(parallel)
+                .with_backend(BackendChoice::Stabilizer);
             let sweep = EnsembleRunner::new(base.with_strategy(ExecutionStrategy::Sweep))
                 .check_program(&p)
                 .unwrap();
@@ -2600,11 +2385,10 @@ mod tests {
     fn stabilizer_serial_and_parallel_sessions_agree() {
         let (mut p, m0, m1) = bell_program();
         p.assert_entangled(&m0, &m1);
-        let base = EnsembleConfig::builder()
-            .shots(512)
-            .seed(21)
-            .backend(BackendChoice::Stabilizer)
-            .build();
+        let base = EnsembleConfig::default()
+            .with_shots(512)
+            .with_seed(21)
+            .with_backend(BackendChoice::Stabilizer);
         let serial = EnsembleRunner::new(base.with_parallel(false))
             .check_program(&p)
             .unwrap();
@@ -2620,12 +2404,11 @@ mod tests {
         let r = p.alloc_register("r", 3);
         p.prep_int(&r, 5);
         p.assert_classical(&r, 5);
-        let config = EnsembleConfig::builder()
-            .shots(256)
-            .seed(4)
-            .noise(qdb_sim::NoiseModel::readout_only(0.25))
-            .backend(BackendChoice::Stabilizer)
-            .build();
+        let config = EnsembleConfig::default()
+            .with_shots(256)
+            .with_seed(4)
+            .with_noise(qdb_sim::NoiseModel::readout_only(0.25))
+            .with_backend(BackendChoice::Stabilizer);
         let reports = EnsembleRunner::new(config).check_program(&p).unwrap();
         assert_eq!(reports[0].verdict, Verdict::Fail);
         // The exact verdict (ideal tableau) still says PASS: the
@@ -2638,12 +2421,11 @@ mod tests {
     fn stabilizer_noisy_trajectories_keep_robust_assertions_at_low_noise() {
         let (mut p, m0, m1) = bell_program();
         p.assert_entangled(&m0, &m1);
-        let config = EnsembleConfig::builder()
-            .shots(256)
-            .seed(3)
-            .noise(qdb_sim::NoiseModel::depolarizing(0.005))
-            .backend(BackendChoice::Stabilizer)
-            .build();
+        let config = EnsembleConfig::default()
+            .with_shots(256)
+            .with_seed(3)
+            .with_noise(qdb_sim::NoiseModel::depolarizing(0.005))
+            .with_backend(BackendChoice::Stabilizer);
         let reports = EnsembleRunner::new(config).check_program(&p).unwrap();
         assert_eq!(reports[0].verdict, Verdict::Pass, "{}", reports[0]);
     }
@@ -2661,11 +2443,10 @@ mod tests {
         let first = QReg::new("first", vec![q.bit(0)]);
         let last = QReg::new("last", vec![q.bit(99)]);
         p.assert_entangled(&first, &last);
-        let config = EnsembleConfig::builder()
-            .shots(128)
-            .seed(5)
-            .backend(BackendChoice::Auto)
-            .build();
+        let config = EnsembleConfig::default()
+            .with_shots(128)
+            .with_seed(5)
+            .with_backend(BackendChoice::Auto);
         let reports = EnsembleRunner::new(config.clone())
             .check_program(&p)
             .unwrap();

@@ -315,7 +315,7 @@ pub(crate) fn run_noisy_tree<B: SimBackend, T>(
             plan.presample_faults(0..bp.position, noise, &mut rng, &mut pattern);
             (pattern, rng)
         };
-        let drawn: Vec<(Vec<FaultEvent>, StdRng)> = if config.shot_parallel() {
+        let drawn: Vec<(Vec<FaultEvent>, StdRng)> = if config.parallel {
             (0..shots).into_par_iter().map(presample_shot).collect()
         } else {
             (0..shots).map(presample_shot).collect()
@@ -385,13 +385,6 @@ pub(crate) fn run_noisy_tree<B: SimBackend, T>(
         }
         Err(e) => return Err(CoreError::Circuit(qdb_circuit::CircuitError::Sim(e))),
     };
-    // One parallel axis, never nested: the frontier walk is serial (one
-    // state), so it may chunk amplitudes; forked wave states may only
-    // when the wave itself is not fanned out across workers.
-    let intra = config.intra_state(num_qubits);
-    let wave_parallel = config.shot_parallel();
-    frontier.set_intra_parallel(intra);
-    let fork_intra = intra && !wave_parallel;
     let batch = Governor::batch_ops(num_qubits);
     let pool: StatePool<B> = StatePool::new();
     let mut scratch = Sampler::default();
@@ -512,7 +505,7 @@ pub(crate) fn run_noisy_tree<B: SimBackend, T>(
                         }
                     }
                 };
-                let slot_trips: Vec<Option<InterruptCause>> = if wave_parallel {
+                let slot_trips: Vec<Option<InterruptCause>> = if config.parallel {
                     wave.as_slice().into_par_iter().map(run_slot).collect()
                 } else {
                     wave.iter().map(run_slot).collect()
@@ -666,8 +659,7 @@ pub(crate) fn run_noisy_tree<B: SimBackend, T>(
                 }
             }
             if !packed {
-                let mut state = pool.acquire_copy(&frontier);
-                state.set_intra_parallel(fork_intra);
+                let state = pool.acquire_copy(&frontier);
                 wave_lanes += 1;
                 wave.push(Slot::Single(WaveSlot {
                     bp: fork.bp,
@@ -675,7 +667,7 @@ pub(crate) fn run_noisy_tree<B: SimBackend, T>(
                     state: Mutex::new(Some(state)),
                 }));
             }
-            if !wave_parallel || wave_lanes >= WAVE_CAP {
+            if !config.parallel || wave_lanes >= WAVE_CAP {
                 flush_wave!();
                 if trip.is_some() {
                     break 'walk;

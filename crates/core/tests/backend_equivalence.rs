@@ -159,11 +159,10 @@ proptest! {
         prop_assume!(!program.breakpoints().is_empty());
         // Decisive regime: tiny α so true-null tests essentially never
         // reject, enough shots so false claims essentially always do.
-        let base = EnsembleConfig::builder()
-            .shots(256)
-            .alpha(1e-6)
-            .seed(run_seed)
-            .build();
+        let base = EnsembleConfig::default()
+            .with_shots(256)
+            .with_alpha(1e-6)
+            .with_seed(run_seed);
         let dense = EnsembleRunner::new(base.with_backend(BackendChoice::Statevector))
             .check_program(&program)
             .expect("statevector session");
@@ -197,11 +196,10 @@ proptest! {
         // densify fallback when Hadamards saturate the support.
         let program = random_phase_spiced_program(n, gates, program_seed);
         prop_assume!(!program.breakpoints().is_empty());
-        let base = EnsembleConfig::builder()
-            .shots(256)
-            .alpha(1e-6)
-            .seed(run_seed)
-            .build();
+        let base = EnsembleConfig::default()
+            .with_shots(256)
+            .with_alpha(1e-6)
+            .with_seed(run_seed);
         let dense = EnsembleRunner::new(base.with_backend(BackendChoice::Statevector))
             .check_program(&program)
             .expect("statevector session");
@@ -300,7 +298,7 @@ fn auto_never_changes_a_verdict_across_representative_programs() {
 
     for (name, program) in &programs {
         for noise in [None, Some(qdb_sim::NoiseModel::depolarizing(0.002))] {
-            let mut base = EnsembleConfig::builder().shots(256).seed(8).build();
+            let mut base = EnsembleConfig::default().with_shots(256).with_seed(8);
             base.noise = noise;
             let default_engine = EnsembleRunner::new(base.clone())
                 .check_program(program)

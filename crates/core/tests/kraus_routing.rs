@@ -44,12 +44,11 @@ fn damping_model(gamma: f64) -> NoiseModel {
 }
 
 fn config(backend: BackendChoice, noise: NoiseModel) -> EnsembleConfig {
-    EnsembleConfig::builder()
-        .shots(256)
-        .seed(13)
-        .backend(backend)
-        .noise(noise)
-        .build()
+    EnsembleConfig::default()
+        .with_shots(256)
+        .with_seed(13)
+        .with_backend(backend)
+        .with_noise(noise)
 }
 
 fn assert_reports_bit_identical(a: &[AssertionReport], b: &[AssertionReport], what: &str) {
@@ -71,11 +70,10 @@ fn auto_routes_kraus_to_dense_and_the_noise_acts() {
     let program = bell_program();
     // Noiseless baseline: the Bell pair is entangled.
     let ideal = EnsembleRunner::new(
-        EnsembleConfig::builder()
-            .shots(256)
-            .seed(13)
-            .backend(BackendChoice::Auto)
-            .build(),
+        EnsembleConfig::default()
+            .with_shots(256)
+            .with_seed(13)
+            .with_backend(BackendChoice::Auto),
     )
     .check_program(&program)
     .expect("ideal session runs");
@@ -190,13 +188,12 @@ fn sweep_and_per_prefix_agree_bit_for_bit_under_kraus_noise() {
     ] {
         for parallel in [false, true] {
             let run = |strategy: ExecutionStrategy| {
-                let config = EnsembleConfig::builder()
-                    .shots(128)
-                    .seed(99)
-                    .noise(noise)
-                    .strategy(strategy)
-                    .parallel(parallel)
-                    .build();
+                let config = EnsembleConfig::default()
+                    .with_shots(128)
+                    .with_seed(99)
+                    .with_noise(noise)
+                    .with_strategy(strategy)
+                    .with_parallel(parallel);
                 EnsembleRunner::new(config).check_program(&program).unwrap()
             };
             let sweep = run(ExecutionStrategy::Sweep);
@@ -231,15 +228,14 @@ fn zero_rate_damping_session_is_bit_identical_to_noiseless() {
     // `with_noise` normalizes a noiseless model away, so AD(0) sessions
     // take the ideal path — reports bit-identical to no noise at all.
     let program = bell_program();
-    let ideal = EnsembleRunner::new(EnsembleConfig::builder().shots(200).seed(5).build())
+    let ideal = EnsembleRunner::new(EnsembleConfig::default().with_shots(200).with_seed(5))
         .check_program(&program)
         .unwrap();
     let zero_noise = EnsembleRunner::new(
-        EnsembleConfig::builder()
-            .shots(200)
-            .seed(5)
-            .noise(damping_model(0.0))
-            .build(),
+        EnsembleConfig::default()
+            .with_shots(200)
+            .with_seed(5)
+            .with_noise(damping_model(0.0)),
     )
     .check_program(&program)
     .unwrap();

@@ -191,11 +191,10 @@ proptest! {
     ) {
         let program = random_mixed_program(n, gates, program_seed);
         prop_assume!(!program.breakpoints().is_empty());
-        let base = EnsembleConfig::builder()
-            .shots(96)
-            .seed(run_seed)
-            .noise(noise_level(which_noise))
-            .build();
+        let base = EnsembleConfig::default()
+            .with_shots(96)
+            .with_seed(run_seed)
+            .with_noise(noise_level(which_noise));
         prop_assume!(base.noise.is_some());
         let reference = EnsembleRunner::new(
             base.with_strategy(ExecutionStrategy::PerPrefix).with_parallel(false),
@@ -224,12 +223,11 @@ proptest! {
     ) {
         let program = random_clifford_program(n, gates, program_seed);
         prop_assume!(!program.breakpoints().is_empty());
-        let base = EnsembleConfig::builder()
-            .shots(64)
-            .seed(run_seed)
-            .noise(noise_level(which_noise))
-            .backend(BackendChoice::Stabilizer)
-            .build();
+        let base = EnsembleConfig::default()
+            .with_shots(64)
+            .with_seed(run_seed)
+            .with_noise(noise_level(which_noise))
+            .with_backend(BackendChoice::Stabilizer);
         prop_assume!(base.noise.is_some());
         let reference = EnsembleRunner::new(
             base.with_strategy(ExecutionStrategy::PerPrefix).with_parallel(false),
@@ -269,10 +267,9 @@ proptest! {
         // breakpoint, so the whole session is one frontier pass —
         // independent of the shot count.
         for shots in [16usize, 256] {
-            let config = EnsembleConfig::builder()
-                .shots(shots)
-                .noise(NoiseModel::readout_only(0.05))
-                .build();
+            let config = EnsembleConfig::default()
+                .with_shots(shots)
+                .with_noise(NoiseModel::readout_only(0.05));
             let (_, stats) = EnsembleRunner::new(config)
                 .check_program_stats(&program)
                 .expect("readout-only session");
@@ -290,10 +287,9 @@ proptest! {
         // Gate noise: replayed work is bounded by unique trajectories
         // times the window, never by shots; the reference path pays
         // shots × window.
-        let config = EnsembleConfig::builder()
-            .shots(128)
-            .noise(NoiseModel::depolarizing(0.002))
-            .build();
+        let config = EnsembleConfig::default()
+            .with_shots(128)
+            .with_noise(NoiseModel::depolarizing(0.002));
         let (_, stats) = EnsembleRunner::new(config)
             .check_program_stats(&program)
             .expect("gate-noise session");
@@ -324,12 +320,11 @@ fn hundred_qubit_noisy_repetition_code_on_auto() {
     // distance 51 → 51 data + 50 syndrome qubits = 101 qubits.
     let program = faulty_repetition_code_program(51, PauliFault::X(17));
     assert_eq!(program.num_qubits(), 101);
-    let config = EnsembleConfig::builder()
-        .shots(192)
-        .seed(11)
-        .noise(NoiseModel::depolarizing(1e-4).with_readout_flip(1e-3))
-        .backend(BackendChoice::Auto)
-        .build();
+    let config = EnsembleConfig::default()
+        .with_shots(192)
+        .with_seed(11)
+        .with_noise(NoiseModel::depolarizing(1e-4).with_readout_flip(1e-3))
+        .with_backend(BackendChoice::Auto);
     let (reports, stats) = EnsembleRunner::new(config.clone())
         .check_program_stats(&program)
         .expect("101-qubit noisy Auto session");
@@ -372,11 +367,10 @@ fn hundred_qubit_noisy_repetition_code_on_auto() {
 #[test]
 fn tree_serial_parallel_identical_with_stats() {
     let program = random_mixed_program(5, 30, 424242);
-    let base = EnsembleConfig::builder()
-        .shots(300)
-        .seed(9)
-        .noise(NoiseModel::depolarizing(0.003).with_readout_flip(0.01))
-        .build();
+    let base = EnsembleConfig::default()
+        .with_shots(300)
+        .with_seed(9)
+        .with_noise(NoiseModel::depolarizing(0.003).with_readout_flip(0.01));
     let serial = EnsembleRunner::new(base.with_parallel(false));
     let parallel = EnsembleRunner::new(base.with_parallel(true));
     let (reports_s, stats_s) = serial.check_program_stats(&program).unwrap();
@@ -402,12 +396,11 @@ fn tree_serial_parallel_identical_with_stats() {
 fn pauli_noise_reports_are_pinned_across_the_kraus_generalization() {
     let program = faulty_repetition_code_program(5, PauliFault::X(2));
     let run = |backend: BackendChoice| {
-        let config = EnsembleConfig::builder()
-            .shots(256)
-            .seed(42)
-            .backend(backend)
-            .noise(NoiseModel::depolarizing(0.01).with_readout_flip(0.02))
-            .build();
+        let config = EnsembleConfig::default()
+            .with_shots(256)
+            .with_seed(42)
+            .with_backend(backend)
+            .with_noise(NoiseModel::depolarizing(0.01).with_readout_flip(0.02));
         EnsembleRunner::new(config).check_program(&program).unwrap()
     };
 

@@ -296,24 +296,6 @@ pub trait SimBackend: Sized + Clone + Send + Sync {
         false
     }
 
-    /// Opt this state in to (or out of) amplitude-parallel kernels.
-    ///
-    /// A *policy* switch, not a semantic one: backends with chunked
-    /// kernels (the dense statevector) produce bit-identical results at
-    /// any thread count and merely spread the work; backends without
-    /// them ignore the call entirely (the default is a no-op). Callers
-    /// that fan out *across* states must leave the fanned-out states
-    /// opted out so parallelism never nests.
-    fn set_intra_parallel(&mut self, enabled: bool) {
-        let _ = enabled;
-    }
-
-    /// Whether amplitude-parallel kernels are enabled for this state.
-    /// Backends without chunked kernels always report `false`.
-    fn intra_parallel(&self) -> bool {
-        false
-    }
-
     /// Broadcast this state into a `width`-lane
     /// [`StatePack`] for packed suffix replay,
     /// or `None` when the backend has no packed form (the default —
@@ -478,14 +460,6 @@ impl SimBackend for State {
     fn rebuild_shot_sampler(&self, sampler: &mut Sampler) -> bool {
         sampler.rebuild(self);
         true
-    }
-
-    fn set_intra_parallel(&mut self, enabled: bool) {
-        State::set_intra_parallel(self, enabled);
-    }
-
-    fn intra_parallel(&self) -> bool {
-        State::intra_parallel(self)
     }
 
     fn pack_broadcast(&self, width: usize) -> Option<StatePack> {

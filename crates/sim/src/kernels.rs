@@ -61,31 +61,11 @@
 //! that property, so no downstream computation — probabilities,
 //! sampling, inner products, reports — can observe the difference;
 //! only `to_bits` on an exactly-zero component can.
-//!
-//! ## Amplitude-parallel chunking
-//!
-//! When a state is opted in ([`State::set_intra_parallel`]), is at or
-//! above [`INTRA_PAR_MIN_QUBITS`], and more than one rayon worker is
-//! configured, each kernel partitions its *run space* into contiguous
-//! chunks and dispatches them across workers
-//! ([`rayon::dispatch_chunks`]). Runs are disjoint and every run's
-//! work is self-contained (the same pairs, the same in-run order, the
-//! same arithmetic as the serial loop — a chunk seeks to its first run
-//! with `Subspace::base_at` and then steps with the identical carry
-//! trick), so the amplitudes produced are **bit-for-bit identical at
-//! any thread count**; only wall-clock changes. A serial call is the
-//! same loop over one chunk holding every run.
 
 use crate::backend::{KernelOp, SimOp};
 use crate::complex::Complex;
 use crate::gates::Matrix2;
 use crate::state::State;
-
-/// States below this many qubits never chunk their kernels: at
-/// `2¹⁴ = 16384` amplitudes a full sweep is a few microseconds, which
-/// thread dispatch overhead would swamp. At and above this threshold
-/// (`2¹⁵` amplitudes, ½ MiB) chunking wins on multi-core hosts.
-pub const INTRA_PAR_MIN_QUBITS: usize = 15;
 
 /// The sparsity structure of a 2×2 unitary, used by the lowering layer
 /// in `qdb-circuit` to pick a kernel once per compiled instruction.
@@ -179,47 +159,37 @@ impl PairOp {
 
     /// Run this arithmetic over every run pair of `sub` in `amps`,
     /// each amplitude index standing for `lanes` contiguous values (1
-    /// for a [`State`], the lane count for a pack). Chunks the run
-    /// space across rayon workers when `workers > 1`; returns the
-    /// number of chunks dispatched (0 when serial).
+    /// for a [`State`], the lane count for a pack).
     ///
     /// Each arm hands its own closure to [`Subspace::for_each_pair`],
     /// so the choice is made once per op and every inner loop is a
     /// branch-free slice zip.
     #[inline]
-    pub(crate) fn apply(
-        self,
-        sub: &Subspace,
-        amps: &mut [Complex],
-        lanes: usize,
-        workers: usize,
-    ) -> usize {
+    pub(crate) fn apply(self, sub: &Subspace, amps: &mut [Complex], lanes: usize) {
         match self {
-            Self::Phase(d1) => sub.for_each_pair(amps, lanes, workers, move |_, run1| {
+            Self::Phase(d1) => sub.for_each_pair(amps, lanes, move |_, run1| {
                 for a in run1 {
                     *a = d1 * *a;
                 }
             }),
-            Self::Diagonal(d0, d1) => sub.for_each_pair(amps, lanes, workers, move |run0, run1| {
+            Self::Diagonal(d0, d1) => sub.for_each_pair(amps, lanes, move |run0, run1| {
                 for (a, b) in run0.iter_mut().zip(run1.iter_mut()) {
                     *a = d0 * *a;
                     *b = d1 * *b;
                 }
             }),
-            Self::Exchange => sub.for_each_pair(amps, lanes, workers, |run0, run1| {
+            Self::Exchange => sub.for_each_pair(amps, lanes, |run0, run1| {
                 run0.swap_with_slice(run1);
             }),
-            Self::AntiDiagonal(a01, a10) => {
-                sub.for_each_pair(amps, lanes, workers, move |run0, run1| {
-                    for (x, y) in run0.iter_mut().zip(run1.iter_mut()) {
-                        let a = *x;
-                        let b = *y;
-                        *x = a01 * b;
-                        *y = a10 * a;
-                    }
-                })
-            }
-            Self::Real(r) => sub.for_each_pair(amps, lanes, workers, move |run0, run1| {
+            Self::AntiDiagonal(a01, a10) => sub.for_each_pair(amps, lanes, move |run0, run1| {
+                for (x, y) in run0.iter_mut().zip(run1.iter_mut()) {
+                    let a = *x;
+                    let b = *y;
+                    *x = a01 * b;
+                    *y = a10 * a;
+                }
+            }),
+            Self::Real(r) => sub.for_each_pair(amps, lanes, move |run0, run1| {
                 for (x, y) in run0.iter_mut().zip(run1.iter_mut()) {
                     let a = *x;
                     let b = *y;
@@ -233,7 +203,7 @@ impl PairOp {
                     );
                 }
             }),
-            Self::Dense(m) => sub.for_each_pair(amps, lanes, workers, move |run0, run1| {
+            Self::Dense(m) => sub.for_each_pair(amps, lanes, move |run0, run1| {
                 for (x, y) in run0.iter_mut().zip(run1.iter_mut()) {
                     let a = *x;
                     let b = *y;
@@ -388,44 +358,13 @@ impl Subspace {
         ((base | self.step) + 1) & !self.step
     }
 
-    /// The base index of run `k` — the value `k` applications of
-    /// [`next`](Subspace::next) reach from zero.
-    ///
-    /// The carry trick counts through the free (zero) bits of `step`
-    /// in ascending position order, so run `k`'s base is `k` with its
-    /// bits deposited into those positions. This lets a chunk worker
-    /// seek straight to its first run instead of replaying the carry
-    /// chain from zero.
-    fn base_at(&self, mut k: usize) -> usize {
-        let mut free = !self.step;
-        let mut base = 0usize;
-        while k != 0 {
-            let bit = free & free.wrapping_neg();
-            if k & 1 == 1 {
-                base |= bit;
-            }
-            free &= !bit;
-            k >>= 1;
-        }
-        base
-    }
-
-    /// Apply `body` to every `(first, partner)` run pair, each index
-    /// scaled to a block of `lanes` contiguous values, chunking the run
-    /// space across rayon workers when `workers > 1`. Returns the
-    /// number of parallel chunks dispatched (0 when serial).
-    ///
-    /// The chunk *boundaries* are the only thing that varies with the
-    /// worker count (a serial call is one chunk holding every run):
-    /// every chunk seeks to its first run with [`Subspace::base_at`]
-    /// and then steps with the carry trick, so each run sees the same
-    /// base, the same slices, and the same per-pair arithmetic in the
-    /// same in-run order — results are bit-for-bit identical across
-    /// thread counts.
+    /// Apply `body` to every `(first, partner)` run pair in ascending
+    /// run order, each index scaled to a block of `lanes` contiguous
+    /// values.
     #[inline]
-    fn for_each_pair<F>(&self, amps: &mut [Complex], lanes: usize, workers: usize, body: F) -> usize
+    fn for_each_pair<F>(&self, amps: &mut [Complex], lanes: usize, body: F)
     where
-        F: Fn(&mut [Complex], &mut [Complex]) + Sync,
+        F: Fn(&mut [Complex], &mut [Complex]),
     {
         let len = self.run_len * lanes;
         let offset = self.offset * lanes;
@@ -434,90 +373,34 @@ impl Subspace {
             self.dim.checked_mul(lanes),
             "amplitude buffer shape"
         );
-        let shared = SharedAmps(amps.as_mut_ptr());
-        let visit = |chunk: std::ops::Range<usize>| {
-            let mut base = self.base_at(chunk.start);
-            for _ in chunk {
-                let start0 = (base | self.first) * lanes;
-                // SAFETY: every pair index is below `dim`, so both runs
-                // lie in the buffer checked above; the caller owns runs
-                // `chunk` exclusively and the two runs of a pair are
-                // disjoint (see `SharedAmps`).
-                let run0 = unsafe { shared.run(start0, len) };
-                let run1 = unsafe { shared.run(start0 + offset, len) };
-                body(run0, run1);
-                base = self.next(base);
-            }
-        };
-        if workers > 1 && self.runs > 1 {
-            rayon::dispatch_chunks(self.runs, visit)
-        } else {
-            visit(0..self.runs);
-            0
+        let amps = amps.as_mut_ptr();
+        let mut base = 0usize;
+        for _ in 0..self.runs {
+            let start0 = (base | self.first) * lanes;
+            // SAFETY: every pair index is below `dim`, so both runs lie
+            // in the buffer checked above, and the two runs of a pair
+            // never overlap: the partner run starts `offset ≥ run_len`
+            // above the first. No other reference to the buffer is live
+            // while `body` runs.
+            let (run0, run1) = unsafe {
+                (
+                    std::slice::from_raw_parts_mut(amps.add(start0), len),
+                    std::slice::from_raw_parts_mut(amps.add(start0 + offset), len),
+                )
+            };
+            body(run0, run1);
+            base = self.next(base);
         }
-    }
-}
-
-/// Raw pointer to the amplitude buffer, shared across chunk workers
-/// (a serial call uses it too, as the only worker).
-///
-/// Sharing is sound because the run enumeration is a *partition*: each
-/// worker owns a disjoint contiguous range of run indices, every run is
-/// visited by exactly one worker, and a run's slices never overlap any
-/// other run's (run bases differ in bits at or above the lowest fixed
-/// bit while each slice spans only the `run_len = 2^lowest` indices
-/// below it; within a pair, the partner slice starts `offset ≥
-/// run_len` above the first).
-#[derive(Clone, Copy)]
-struct SharedAmps(*mut Complex);
-
-// SAFETY: the one field is a pointer into a `Complex` buffer (plain
-// `Copy` data) that outlives every chunk; the partition above keeps
-// the workers' accesses disjoint.
-unsafe impl Send for SharedAmps {}
-// SAFETY: as for `Send`: shared use only ever derives disjoint runs.
-unsafe impl Sync for SharedAmps {}
-
-impl SharedAmps {
-    /// The contiguous run `[start, start + len)` as a mutable slice.
-    ///
-    /// # Safety
-    ///
-    /// `[start, start + len)` must be in bounds of the buffer and no
-    /// other live reference (on any thread) may overlap it — which the
-    /// run-disjointness argument above guarantees when each run is
-    /// handed to exactly one worker.
-    #[inline]
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn run<'a>(&self, start: usize, len: usize) -> &'a mut [Complex] {
-        unsafe { std::slice::from_raw_parts_mut(self.0.add(start), len) }
     }
 }
 
 impl State {
-    /// Worker count the kernels may chunk over: 1 (serial) unless this
-    /// state opted in via [`State::set_intra_parallel`], is at or above
-    /// [`INTRA_PAR_MIN_QUBITS`], and rayon has more than one worker
-    /// (`RAYON_NUM_THREADS` is re-read per call, as everywhere else in
-    /// the workspace).
-    fn kernel_workers(&self) -> usize {
-        if self.intra_parallel() && self.num_qubits() >= INTRA_PAR_MIN_QUBITS {
-            rayon::current_num_threads()
-        } else {
-            1
-        }
-    }
-
     /// Run `op` over the pairs of `sub`, counting one gate and one
     /// index op per pair.
     pub(crate) fn apply_pairs(&mut self, sub: &Subspace, op: PairOp) {
         self.record_gate_op();
         self.record_index_ops(sub.pairs() as u64);
-        let workers = self.kernel_workers();
-        let chunks = op.apply(sub, self.amps_mut(), 1, workers);
-        if chunks > 0 {
-            self.record_par_chunks(chunks as u64);
-        }
+        op.apply(sub, self.amps_mut(), 1);
     }
 
     /// Apply `diag(d0, d1)` to `target`, conditioned on all `controls`
@@ -831,84 +714,6 @@ mod tests {
                 "input {input}"
             );
         }
-    }
-
-    /// Guards the `RAYON_NUM_THREADS` toggling below against the test
-    /// harness running these tests concurrently.
-    static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    #[test]
-    fn base_at_matches_carry_enumeration() {
-        // (fixed, cmask) shapes: plain 1q targets at several positions,
-        // controlled kernels, and a swap-style double-fixed mask, all
-        // over a 2¹⁰ space.
-        for (fixed, cmask) in [
-            (0b1usize, 0usize),
-            (0b100, 0),
-            (1 << 9, 0),
-            (0b10011, 0b10010),
-            (0b1100000, 0b0100000),
-            (0b0000110, 0),
-        ] {
-            let sub = Subspace::new(10, fixed, cmask, 0);
-            let mut base = 0usize;
-            for k in 0..sub.runs {
-                assert_eq!(
-                    sub.base_at(k),
-                    base,
-                    "run {k} of fixed {fixed:#b} cmask {cmask:#b}"
-                );
-                base = sub.next(base);
-            }
-        }
-    }
-
-    #[test]
-    fn intra_parallel_kernels_are_bit_identical() {
-        let _guard = ENV_LOCK.lock().unwrap();
-        // 16 qubits is above INTRA_PAR_MIN_QUBITS, so with 4 workers
-        // the opted-in state chunks every kernel.
-        let drive = |s: &mut State| {
-            for q in 0..16 {
-                s.apply_1q_subspace(&[], q, &gates::h());
-            }
-            let t = gates::t();
-            s.apply_diagonal(&[], 3, t.0[0][0], t.0[1][1]);
-            let rz = gates::rz(0.9);
-            s.apply_diagonal(&[5], 9, rz.0[0][0], rz.0[1][1]);
-            s.apply_diagonal(&[2], 15, rz.0[0][0], rz.0[1][1]);
-            s.apply_antidiagonal(&[1], 14, Complex::ONE, Complex::ONE);
-            let y = gates::y();
-            s.apply_antidiagonal(&[], 7, y.0[0][1], y.0[1][0]);
-            s.apply_1q_subspace(&[0, 8], 12, &gates::u3(0.3, 1.1, -0.4));
-            s.apply_swap_subspace(&[4], 6, 13);
-            s.apply_swap_subspace(&[], 0, 15);
-        };
-        std::env::set_var("RAYON_NUM_THREADS", "4");
-        let mut serial = State::zero(16);
-        drive(&mut serial);
-        let mut chunked = State::zero(16);
-        chunked.set_intra_parallel(true);
-        drive(&mut chunked);
-        std::env::remove_var("RAYON_NUM_THREADS");
-        assert_bits_identical(&serial, &chunked);
-        assert_eq!(serial.par_chunks(), 0);
-        assert!(chunked.par_chunks() > 0, "chunking never engaged");
-        assert_eq!(serial.index_ops(), chunked.index_ops());
-        assert_eq!(serial.gate_ops(), chunked.gate_ops());
-    }
-
-    #[test]
-    fn small_states_stay_serial_even_when_opted_in() {
-        let _guard = ENV_LOCK.lock().unwrap();
-        std::env::set_var("RAYON_NUM_THREADS", "4");
-        let mut s = dense_state(); // 4 qubits, far below the threshold
-        s.set_intra_parallel(true);
-        s.apply_1q_subspace(&[], 0, &gates::h());
-        s.apply_diagonal(&[], 1, Complex::ONE, Complex::I);
-        s.apply_swap_subspace(&[], 0, 1);
-        std::env::remove_var("RAYON_NUM_THREADS");
-        assert_eq!(s.par_chunks(), 0);
     }
 
     #[test]

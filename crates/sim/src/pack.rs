@@ -173,7 +173,7 @@ impl StatePack {
     pub fn apply_op(&mut self, op: &SimOp) {
         let (sub, pair_op) = kernels::lower(self.num_qubits, op);
         self.gate_ops += 1;
-        pair_op.apply(&sub, &mut self.amps, self.width, 1);
+        pair_op.apply(&sub, &mut self.amps, self.width);
     }
 
     /// Apply a single-qubit Pauli to **one lane** — the per-trajectory

@@ -52,14 +52,6 @@ pub struct State {
     amps: Vec<Complex>,
     gate_ops: u64,
     index_ops: u64,
-    /// Whether the run-based kernels may chunk their run space across
-    /// rayon workers. Off by default; a policy layer (the ensemble
-    /// config) opts single-owner states in. Orthogonal to state value:
-    /// kernels produce bit-identical amplitudes either way.
-    intra_parallel: bool,
-    /// Parallel chunks dispatched by intra-parallel kernel calls (an
-    /// instrumentation counter like `index_ops`; equality ignores it).
-    par_chunks: u64,
 }
 
 /// Equality compares qubit count and amplitudes only; the
@@ -118,8 +110,6 @@ impl State {
             amps,
             gate_ops: 0,
             index_ops: 0,
-            intra_parallel: false,
-            par_chunks: 0,
         })
     }
 
@@ -159,8 +149,6 @@ impl State {
             amps,
             gate_ops: 0,
             index_ops: 0,
-            intra_parallel: false,
-            par_chunks: 0,
         })
     }
 
@@ -192,8 +180,6 @@ impl State {
             amps,
             gate_ops: 0,
             index_ops: 0,
-            intra_parallel: false,
-            par_chunks: 0,
         })
     }
 
@@ -338,51 +324,15 @@ impl State {
         self.amps.clone_from(&source.amps);
         self.gate_ops = source.gate_ops;
         self.index_ops = source.index_ops;
-        self.intra_parallel = source.intra_parallel;
-        self.par_chunks = source.par_chunks;
     }
 
-    /// Whether the kernels may chunk their run space across rayon
-    /// workers for this state. See
-    /// [`set_intra_parallel`](State::set_intra_parallel).
-    #[must_use]
-    pub fn intra_parallel(&self) -> bool {
-        self.intra_parallel
-    }
-
-    /// Opt this state in to (or out of) amplitude-parallel kernels.
-    ///
-    /// This is a *policy* switch, not a semantic one: chunked kernels
-    /// partition the disjoint run space across workers and perform the
-    /// same pairs, in the same per-run order, with the same arithmetic,
-    /// so amplitudes are bit-for-bit identical at any thread count.
-    /// Kernels additionally stay serial below
-    /// [`INTRA_PAR_MIN_QUBITS`](crate::kernels::INTRA_PAR_MIN_QUBITS)
-    /// qubits or when only one rayon worker is configured. Callers that
-    /// fan out *across* states (per-shot waves) should leave this off
-    /// for the fanned-out states so parallelism never nests.
-    pub fn set_intra_parallel(&mut self, enabled: bool) {
-        self.intra_parallel = enabled;
-    }
-
-    /// Parallel chunks dispatched by intra-parallel kernel calls since
-    /// construction (or the last [`reset_par_chunks`](State::reset_par_chunks)).
-    /// Serial kernel invocations contribute nothing, so this doubles as
-    /// a probe that chunking actually engaged.
+    /// Parallel chunks dispatched by kernel calls: always 0, since
+    /// every kernel runs serially on its state (parallelism lives at
+    /// the shot and trajectory level). Kept as an accessor because the
+    /// repository benchmark reports it as `sim.par_chunks`.
     #[must_use]
     pub fn par_chunks(&self) -> u64 {
-        self.par_chunks
-    }
-
-    /// Reset the [`par_chunks`](State::par_chunks) counter to zero.
-    pub fn reset_par_chunks(&mut self) {
-        self.par_chunks = 0;
-    }
-
-    /// Count `n` dispatched kernel chunks (kernel entry points live in
-    /// [`kernels`](crate::kernels), outside this module).
-    pub(crate) fn record_par_chunks(&mut self, n: u64) {
-        self.par_chunks += n;
+        0
     }
 
     /// Mutable access to the raw amplitudes for in-crate measurement code.
@@ -772,8 +722,6 @@ impl State {
             amps,
             gate_ops: 0,
             index_ops: 0,
-            intra_parallel: false,
-            par_chunks: 0,
         }
     }
 

@@ -8,7 +8,7 @@ use qdb::algos::harnesses::BugType;
 use qdb::core::{Debugger, EnsembleConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let debugger = Debugger::new(EnsembleConfig::builder().shots(512).seed(46).build());
+    let debugger = Debugger::new(EnsembleConfig::default().with_shots(512).with_seed(46));
 
     println!(
         "{:<32} {:<40} {:<10} p-value",

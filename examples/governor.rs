@@ -69,14 +69,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let total = program.breakpoints().len();
 
     // --- A session bounded to 10 ms of wall clock. ----------------------
-    let bounded = EnsembleConfig::builder()
-        .shots(64)
-        .seed(11)
+    let bounded = EnsembleConfig::default()
+        .with_shots(64)
+        .with_seed(11)
         // A tight alpha keeps the seven honest flat-superposition
         // assertions from tripping on sampling noise.
-        .alpha(1e-6)
-        .budget(RunBudget::default().with_deadline(Duration::from_millis(10)))
-        .build();
+        .with_alpha(1e-6)
+        .with_budget(RunBudget::default().with_deadline(Duration::from_millis(10)));
     let interrupted = match EnsembleRunner::new(bounded.clone()).check_program(&program) {
         Err(CoreError::Interrupted { cause, partial }) => {
             println!("session interrupted: {cause}");

@@ -17,7 +17,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("Searching GF(2^3) for x with x² = {target}; unique answer is x = {answer}.\n");
 
     let iterations = optimal_iterations(field.order());
-    let debugger = Debugger::new(EnsembleConfig::builder().shots(512).seed(51).build());
+    let debugger = Debugger::new(EnsembleConfig::default().with_shots(512).with_seed(51));
 
     for style in [GroverStyle::Manual, GroverStyle::Scoped] {
         println!("== {style:?} amplitude amplification (Table 4) ==");

@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Debug it. ------------------------------------------------------
     // The paper's smallest ensembles are 16 shots; use 64 here.
-    let config = EnsembleConfig::builder().shots(64).seed(2019).build();
+    let config = EnsembleConfig::default().with_shots(64).with_seed(2019);
     let debugger = Debugger::new(config);
     let report = debugger.run(&program)?;
 

@@ -57,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let report =
-        Debugger::new(EnsembleConfig::builder().shots(1024).seed(2).build()).run(&program)?;
+        Debugger::new(EnsembleConfig::default().with_shots(1024).with_seed(2)).run(&program)?;
     println!("{report}");
     assert!(report.all_passed(), "Listing 1 must pass end to end");
     println!("Listing 1 passes: QFT → superposition → iQFT → classical 5 again.");

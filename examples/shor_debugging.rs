@@ -13,7 +13,7 @@ use qdb::algos::AdderVariant;
 use qdb::core::{Debugger, EnsembleConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let debugger = Debugger::new(EnsembleConfig::builder().shots(256).seed(7).build());
+    let debugger = Debugger::new(EnsembleConfig::default().with_shots(256).with_seed(7));
 
     // --- Unit test 1: the QFT (Listing 1). ------------------------------
     println!("== Listing 1: QFT test harness (value 5, width 4) ==");

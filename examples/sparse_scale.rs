@@ -24,11 +24,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Auto inspects the compiled plan: past the dense ceiling, a
     // program whose branching-gate count keeps the support small is
     // routed to the sparse tier; nothing downstream changes.
-    let config = EnsembleConfig::builder()
-        .shots(256)
-        .seed(2019)
-        .backend(BackendChoice::Auto)
-        .build();
+    let config = EnsembleConfig::default()
+        .with_shots(256)
+        .with_seed(2019)
+        .with_backend(BackendChoice::Auto);
     let debugger = Debugger::new(config.clone());
 
     // --- 34-qubit Shor-style period finding. -----------------------------

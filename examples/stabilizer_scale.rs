@@ -22,11 +22,10 @@ use qdb::core::{BackendChoice, Debugger, EnsembleConfig};
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Auto picks the stabilizer tableau for Clifford programs and the
     // dense statevector for everything else; nothing downstream changes.
-    let config = EnsembleConfig::builder()
-        .shots(256)
-        .seed(2019)
-        .backend(BackendChoice::Auto)
-        .build();
+    let config = EnsembleConfig::default()
+        .with_shots(256)
+        .with_seed(2019)
+        .with_backend(BackendChoice::Auto);
     let debugger = Debugger::new(config.clone());
 
     // --- A 100-qubit GHZ ladder. ----------------------------------------

@@ -27,11 +27,10 @@ fn noisy_bell_program() -> Program {
 }
 
 fn config() -> EnsembleConfig {
-    EnsembleConfig::builder()
-        .shots(128)
-        .seed(0x00D5_EAD5)
-        .noise(NoiseModel::depolarizing(0.01).with_readout_flip(0.02))
-        .build()
+    EnsembleConfig::default()
+        .with_shots(128)
+        .with_seed(0x00D5_EAD5)
+        .with_noise(NoiseModel::depolarizing(0.01).with_readout_flip(0.02))
 }
 
 fn assert_identical(a: &DebugReport, b: &DebugReport, what: &str) {

@@ -75,3 +75,27 @@ fn source_and_api_programs_agree() {
 
     assert_eq!(from_source.circuit(), from_api.circuit());
 }
+
+#[test]
+fn malformed_sources_exit_2_from_the_cli() {
+    let cases = [
+        "qbit q[1];\nH)q[0](;\n",
+        "qbit q[1];\nH(q]0[);\n",
+        "qbit q[2];\nCNOT(q[0],q[0]);\n",
+        "qbit q[1];\nRz(q[0], 1e999);\n",
+    ];
+    let dir = std::env::temp_dir();
+    for (i, src) in cases.iter().enumerate() {
+        let path = dir.join(format!("qdb-malformed-{}-{i}.scaffold", std::process::id()));
+        std::fs::write(&path, src).unwrap();
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_qdb"))
+            .arg("check")
+            .arg(&path)
+            .output()
+            .unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{src:?}: {stderr}");
+        assert!(stderr.contains("line 2"), "{src:?}: {stderr}");
+    }
+}
